@@ -229,11 +229,11 @@ func BenchmarkAblationQueryCache(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	a := &annotate.Annotator{Engine: l.Engine, Classifier: l.SVM, Types: eval.TypeStrings()}
+	cfg := annotate.Config{Searcher: l.Engine, Classifier: l.SVM, Types: eval.TypeStrings()}
 	var queries int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		queries = a.AnnotateTable(tbl).Queries
+		queries = annotateOne(b, cfg, tbl).Queries
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(queries)/100, "queriesPerRow")
@@ -313,9 +313,9 @@ func BenchmarkSPARQLSelect(b *testing.B) {
 	l := lab()
 	store := rdf.NewStore()
 	x := &rdf.Extractor{Gazetteer: l.World.Gaz, MinScore: 0.5}
-	a := &annotate.Annotator{Engine: l.Engine, Classifier: l.SVM, Types: eval.TypeStrings(), Postprocess: true}
+	cfg := annotate.Config{Searcher: l.Engine, Classifier: l.SVM, Types: eval.TypeStrings(), Postprocess: true}
 	for _, t := range l.GFT.Tables[:6] {
-		x.Extract(t, a.AnnotateTable(t), store)
+		x.Extract(t, annotateOne(b, cfg, t), store)
 	}
 	q, err := rdf.ParseSPARQL(`SELECT ?name ?city WHERE {
 		?poi rdf:type "restaurant" .
@@ -417,8 +417,8 @@ func BenchmarkParallelCorpusAnnotation(b *testing.B) {
 
 	for _, p := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("parallel=%d", p), func(b *testing.B) {
-			a := &annotate.Annotator{
-				Engine:      l.Engine,
+			cfg := annotate.Config{
+				Searcher:    l.Engine,
 				Classifier:  l.SVM,
 				Types:       eval.TypeStrings(),
 				Postprocess: true,
@@ -426,7 +426,7 @@ func BenchmarkParallelCorpusAnnotation(b *testing.B) {
 			}
 			var queries int
 			for i := 0; i < b.N; i++ {
-				results, err := a.AnnotateTables(context.Background(), tables, p)
+				results, err := cfg.AnnotateBatch(context.Background(), tables, p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -447,17 +447,17 @@ func BenchmarkParallelCorpusAnnotation(b *testing.B) {
 func BenchmarkCrossTableCache(b *testing.B) {
 	l := lab()
 	tables := l.GFT.Tables[:8]
-	newAnnotator := func(c *qcache.Cache) *annotate.Annotator {
-		return &annotate.Annotator{
-			Engine:      l.Engine,
+	newConfig := func(c *qcache.Cache) annotate.Config {
+		return annotate.Config{
+			Searcher:    l.Engine,
 			Classifier:  l.SVM,
 			Types:       eval.TypeStrings(),
 			Postprocess: true,
 			Cache:       c,
 		}
 	}
-	run := func(b *testing.B, a *annotate.Annotator) (queries int) {
-		results, err := a.AnnotateTables(context.Background(), tables, 1)
+	run := func(b *testing.B, cfg annotate.Config) (queries int) {
+		results, err := cfg.AnnotateBatch(context.Background(), tables, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -470,17 +470,17 @@ func BenchmarkCrossTableCache(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		var queries int
 		for i := 0; i < b.N; i++ {
-			queries = run(b, newAnnotator(qcache.New()))
+			queries = run(b, newConfig(qcache.New()))
 		}
 		b.ReportMetric(float64(queries), "queries")
 	})
 	b.Run("warm", func(b *testing.B) {
 		cache := qcache.New()
-		run(b, newAnnotator(cache)) // pre-warm
+		run(b, newConfig(cache)) // pre-warm
 		b.ResetTimer()
 		var queries int
 		for i := 0; i < b.N; i++ {
-			queries = run(b, newAnnotator(cache))
+			queries = run(b, newConfig(cache))
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(queries), "queries")
@@ -495,7 +495,7 @@ func BenchmarkRandomTableAnnotation(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
 	pool := append([]*world.Entity{}, l.World.TableEntities(world.Museum)...)
 	pool = append(pool, l.World.TableEntities(world.Restaurant)...)
-	a := &annotate.Annotator{Engine: l.Engine, Classifier: l.SVM, Types: eval.TypeStrings(), Postprocess: true}
+	cfg := annotate.Config{Searcher: l.Engine, Classifier: l.SVM, Types: eval.TypeStrings(), Postprocess: true}
 	tables := make([]*table.Table, 8)
 	for ti := range tables {
 		tbl := table.New("bench", table.Column{Header: "Name", Type: table.Text})
@@ -508,7 +508,7 @@ func BenchmarkRandomTableAnnotation(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.AnnotateTable(tables[i%len(tables)])
+		annotateOne(b, cfg, tables[i%len(tables)])
 	}
 }
 
@@ -541,4 +541,13 @@ func BenchmarkAnnotateTableSteadyState(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// annotateOne runs cfg over one table under a background context.
+func annotateOne(b *testing.B, cfg annotate.Config, t *table.Table) *annotate.Result {
+	res, err := cfg.Annotate(context.Background(), t)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
 }

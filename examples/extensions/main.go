@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,8 +19,12 @@ import (
 )
 
 func main() {
-	sys := repro.NewSystem(repro.Options{Seed: 17})
-	w := sys.World()
+	ctx := context.Background()
+	svc, err := repro.New(ctx, repro.WithSeed(17))
+	if err != nil {
+		log.Fatal(err)
+	}
+	w := svc.World()
 
 	// A table mixing catalogue-known and unknown museums: table entities
 	// have ~22% KB coverage, so the catalogue recognises only some.
@@ -45,14 +50,23 @@ func main() {
 		tbl.NumRows(), known, unknown)
 
 	// Discovery-only vs hybrid: same annotations, fewer queries.
-	discovery := sys.Annotator()
-	discovery.Disambiguate = false
-	res := discovery.AnnotateTable(&tbl)
+	resp, err := svc.Annotate(ctx, &repro.AnnotateRequest{Table: &tbl, Disambiguate: repro.ToggleOff})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("discovery only: %d annotations, %d search queries\n",
-		len(res.Annotations), res.Queries)
+		len(resp.Annotations), resp.Stats.Queries)
 
+	// The service runs the discovery pipeline only; the hybrid and the
+	// cluster rule are extensions configured directly over its components.
+	discovery := annotate.Config{
+		Searcher:    svc.Engine(),
+		Classifier:  svc.Classifier(repro.ClassifierSVM),
+		Types:       repro.Types(),
+		Postprocess: true,
+	}
 	hybrid := &annotate.Hybrid{
-		Catalogue: &annotate.CatalogueAnnotator{Catalogue: sys.KB().Catalogue()},
+		Catalogue: &annotate.CatalogueAnnotator{Catalogue: svc.KB().Catalogue()},
 		Discovery: discovery,
 	}
 	hres := hybrid.AnnotateTable(&tbl)
@@ -79,20 +93,25 @@ func main() {
 		log.Fatal(err)
 	}
 
-	flat := sys.Annotator()
-	flat.Disambiguate = false
-	report := func(label string, r *repro.Result) {
-		if len(r.Annotations) == 0 {
+	report := func(label string, anns []repro.Annotation) {
+		if len(anns) == 0 {
 			fmt.Printf("  %-14s abstained (no majority)\n", label)
 			return
 		}
-		a := r.Annotations[0]
+		a := anns[0]
 		fmt.Printf("  %-14s %s (score %.2f)\n", label, a.Type, a.Score)
 	}
-	report("flat rule:", flat.AnnotateTable(&one))
+	flat, err := svc.Annotate(ctx, &repro.AnnotateRequest{Table: &one, Disambiguate: repro.ToggleOff})
+	if err != nil {
+		log.Fatal(err)
+	}
+	report("flat rule:", flat.Annotations)
 
-	clustered := sys.Annotator()
-	clustered.Disambiguate = false
+	clustered := discovery
 	clustered.ClusterThreshold = 0.4
-	report("cluster rule:", clustered.AnnotateTable(&one))
+	res, err := clustered.Annotate(ctx, &one)
+	if err != nil {
+		log.Fatal(err)
+	}
+	report("cluster rule:", res.Annotations)
 }

@@ -7,17 +7,23 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
 
 	"repro"
+	"repro/internal/annotate"
 	"repro/internal/world"
 )
 
 func main() {
-	sys := repro.NewSystem(repro.Options{Seed: 3})
-	w := sys.World()
+	ctx := context.Background()
+	svc, err := repro.New(ctx, repro.WithSeed(3))
+	if err != nil {
+		log.Fatal(err)
+	}
+	w := svc.World()
 
 	// Pick singers whose names are shared with other entities or
 	// confuser senses — the genuinely ambiguous rows.
@@ -54,11 +60,21 @@ func main() {
 		fmt.Printf("  %-22s also a: %s\n", e.Name, strings.Join(others, ", "))
 	}
 
-	for _, clf := range []string{"svm", "bayes"} {
-		a := sys.Annotator()
-		a.Classifier = sys.Classifier(clf)
-		a.Postprocess = false // show the raw majority-rule behaviour
-		res := a.AnnotateTable(&tbl)
+	// A service serves one classifier, so the comparison runs the pipeline
+	// over the service's components with each classifier in turn.
+	for _, clf := range []string{repro.ClassifierSVM, repro.ClassifierBayes} {
+		cfg := annotate.Config{
+			Searcher:     svc.Engine(),
+			Classifier:   svc.Classifier(clf),
+			Types:        repro.Types(),
+			Disambiguate: true,
+			Gazetteer:    svc.Geo(),
+			// Postprocess stays off to show the raw majority-rule behaviour.
+		}
+		res, err := cfg.Annotate(ctx, &tbl)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("\n%s: %d/%d names annotated\n", strings.ToUpper(clf), len(res.Annotations), len(picked))
 		annotated := map[int]repro.Annotation{}
 		for _, ann := range res.Annotations {

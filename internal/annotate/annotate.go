@@ -17,37 +17,15 @@ import (
 )
 
 // Searcher is the query interface the annotator needs from a search backend
-// (steps 1-2 of the §5 algorithm): the top-k results for a query. The
-// built-in *search.Engine implements it; any other backend (a remote API, a
-// mock, a different ranking substrate) plugs in the same way.
-// Implementations must be safe for concurrent use — the execute stage fans
-// queries out over a worker pool when Parallelism > 1.
+// (steps 1-2 of the §5 algorithm): the top-k results for each query of a
+// batch, out[i] answering queries[i]. A call observes cancellation — once
+// ctx is done it returns ctx.Err(), abandoning any in-flight round-trip —
+// so a cancelled run never waits out the backend. The built-in
+// *search.Engine implements it; any other backend (a remote API, a mock, a
+// different ranking substrate) plugs in the same way. Implementations must
+// be safe for concurrent use: the execute stage fans chunks of queries out
+// over a worker pool when Parallelism > 1.
 type Searcher interface {
-	Search(query string, k int) []search.Result
-}
-
-// BatchSearcher is an optional upgrade of Searcher: a backend that can
-// resolve several queries in one call. The execute stage detects it and
-// submits a table's deduped cell queries in chunks instead of one round-trip
-// per query, amortizing the backend's per-call setup; out[i] must equal
-// Search(queries[i], k). *search.Engine implements it.
-type BatchSearcher interface {
-	Searcher
-	SearchBatch(queries []string, k int) [][]search.Result
-}
-
-// ContextSearcher is an optional upgrade of Searcher: a backend whose
-// queries observe cancellation, so the execute stage can abandon in-flight
-// work (a simulated or real network round-trip) as soon as ctx is done
-// instead of only checking between queries. A legacy Searcher keeps working
-// unchanged — cancellation is then checked between queries only.
-type ContextSearcher interface {
-	SearchContext(ctx context.Context, query string, k int) ([]search.Result, error)
-}
-
-// ContextBatchSearcher combines both upgrades: batched queries that observe
-// cancellation. *search.Engine implements it.
-type ContextBatchSearcher interface {
 	SearchBatchContext(ctx context.Context, queries []string, k int) ([][]search.Result, error)
 }
 
@@ -85,8 +63,7 @@ type Result struct {
 	// cache is set.
 	CacheMisses int
 	// Batches is the number of backend batch calls the execute stage
-	// issued for this table; zero when the backend does not implement
-	// BatchSearcher. Without a shared cache the count is fixed by the
+	// issued for this table. Without a shared cache the count is fixed by the
 	// workload (query count and parallelism); with one, only chunks
 	// containing at least one miss reach the backend, so — like
 	// CacheMisses — the count depends on what earlier tables cached.
@@ -167,6 +144,11 @@ type Config struct {
 	// at any worker count — only on latency and peak scratch memory,
 	// which grows O(largest component × workers).
 	GeoWorkers int
+	// ScratchGauge, when non-nil, is raised to every geo-stage resolve's
+	// pooled-scratch high-water mark: a runtime gauge for serving layers.
+	// The value depends on goroutine scheduling, so it stays out of
+	// GeoStageStats; it never affects results.
+	ScratchGauge *ScratchGauge
 
 	// geo optionally carries one table's precomputed geocode+disambiguate
 	// resolution (set via PrepareGeo) so the Disambiguate stage and
@@ -368,51 +350,19 @@ func chunkSize(n, workers int) int {
 	return size
 }
 
-// batchCapable reports whether the backend accepts batched queries.
-func (c Config) batchCapable() bool {
-	switch c.Searcher.(type) {
-	case BatchSearcher, ContextBatchSearcher:
-		return true
-	}
-	return false
-}
-
-// searchBatch issues one backend batch, through the context-aware interface
-// when the backend has one (so in-flight round-trips abort on cancel), and
-// behind an up-front ctx check otherwise.
-func (c Config) searchBatch(ctx context.Context, queries []string, k int) ([][]search.Result, error) {
-	switch b := c.Searcher.(type) {
-	case ContextBatchSearcher:
-		return b.SearchBatchContext(ctx, queries, k)
-	case BatchSearcher:
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return b.SearchBatch(queries, k), nil
-	}
-	panic("annotate: searchBatch on a non-batch Searcher")
-}
-
-// execute resolves every unique query to a verdict — sequentially, or over a
-// bounded worker pool when Parallelism > 1 — and updates the Queries, batch
-// and cache counters on res. Batch-capable backends receive the queries in
-// chunks (one backend call per chunk) instead of one call per query. With a
-// shared cache configured, each lookup goes through the cache's
-// singleflight, so one backend query is issued per unique key across all
-// concurrent tables; which table's Result records the miss can vary under
-// concurrency, but totals are fixed by the workload.
+// execute resolves every unique query to a verdict and updates the Queries,
+// batch and cache counters on res. The queries go to the backend in chunks,
+// one batch call per chunk, sequentially or over a bounded worker pool when
+// Parallelism > 1. With a shared cache configured, each chunk's lookup goes
+// through the cache's singleflight, so one backend query is issued per
+// unique key across all concurrent tables; which table's Result records the
+// miss can vary under concurrency, but totals are fixed by the workload.
 func (c Config) execute(ctx context.Context, queries []string, res *Result) (map[string]qcache.Verdict, error) {
 	verdicts := make(map[string]qcache.Verdict, len(queries))
 	gamma := c.typeSet()
 
 	if c.Cache == nil {
-		var resolved []qcache.Verdict
-		var err error
-		if c.batchCapable() && len(queries) > 0 {
-			resolved, err = c.executeBatched(ctx, queries, gamma, res)
-		} else {
-			resolved, err = c.searchAll(ctx, queries, gamma)
-		}
+		resolved, err := c.executeBatched(ctx, queries, gamma, res)
 		if err != nil {
 			return nil, err
 		}
@@ -423,30 +373,9 @@ func (c Config) execute(ctx context.Context, queries []string, res *Result) (map
 		return verdicts, nil
 	}
 
-	prefix := c.cacheKeyPrefix()
-	out := make([]qcache.Verdict, len(queries))
-	hit := make([]bool, len(queries))
-	if c.batchCapable() && len(queries) > 0 {
-		if err := c.executeCachedBatched(ctx, queries, gamma, prefix, out, hit, res); err != nil {
-			return nil, err
-		}
-	} else {
-		do := func(i int) {
-			q := queries[i]
-			out[i], hit[i] = c.Cache.GetOrCompute(prefix+q, func() qcache.Verdict {
-				return c.searchDecide(q, gamma)
-			})
-		}
-		if c.Parallelism <= 1 || len(queries) < 2 {
-			for i := range queries {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				do(i)
-			}
-		} else if err := runPool(ctx, c.Parallelism, len(queries), do); err != nil {
-			return nil, err
-		}
+	out, hit, err := c.executeCachedBatched(ctx, queries, gamma, res)
+	if err != nil {
+		return nil, err
 	}
 	for i, q := range queries {
 		verdicts[q] = out[i]
@@ -462,9 +391,9 @@ func (c Config) execute(ctx context.Context, queries []string, res *Result) (map
 
 // forEachChunk cuts n queries into chunks sized for the worker count and
 // runs work(lo, hi) for each — sequentially (with a ctx check between
-// chunks) or over the bounded pool — returning the first error. Both batch
-// paths share this dispatch skeleton so its ctx and error semantics cannot
-// diverge between them.
+// chunks) or over the bounded pool — returning the first error. The cached
+// and cacheless paths share this dispatch skeleton so its ctx and error
+// semantics cannot diverge between them.
 func (c Config) forEachChunk(ctx context.Context, n int, work func(lo, hi int) error) error {
 	size := chunkSize(n, c.Parallelism)
 	nChunks := (n + size - 1) / size
@@ -494,7 +423,7 @@ func (c Config) forEachChunk(ctx context.Context, n int, work func(lo, hi int) e
 // executeBatched is the cacheless batch path: the queries are cut into
 // chunks, each chunk costs one backend batch call, and chunks fan out over
 // the worker pool when Parallelism > 1. Verdicts are positional and
-// identical to the per-query path at any chunking.
+// identical at any chunking.
 func (c Config) executeBatched(ctx context.Context, queries []string, gamma map[string]struct{}, res *Result) ([]qcache.Verdict, error) {
 	out := make([]qcache.Verdict, len(queries))
 	var batches atomic.Int64
@@ -512,7 +441,10 @@ func (c Config) executeBatched(ctx context.Context, queries []string, gamma map[
 // executeCachedBatched is the cached batch path: each chunk resolves through
 // one batched cache lookup whose compute callback — invoked with only the
 // chunk's genuine misses — costs one backend batch call.
-func (c Config) executeCachedBatched(ctx context.Context, queries []string, gamma map[string]struct{}, prefix string, out []qcache.Verdict, hit []bool, res *Result) error {
+func (c Config) executeCachedBatched(ctx context.Context, queries []string, gamma map[string]struct{}, res *Result) ([]qcache.Verdict, []bool, error) {
+	prefix := c.cacheKeyPrefix()
+	out := make([]qcache.Verdict, len(queries))
+	hit := make([]bool, len(queries))
 	var batches atomic.Int64
 	err := c.forEachChunk(ctx, len(queries), func(lo, hi int) error {
 		keys := make([]string, hi-lo)
@@ -539,10 +471,10 @@ func (c Config) executeCachedBatched(ctx context.Context, queries []string, gamm
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	res.Batches = int(batches.Load())
-	return nil
+	return out, hit, nil
 }
 
 // resolveChunk resolves one chunk of queries with a single backend batch
@@ -550,71 +482,27 @@ func (c Config) executeCachedBatched(ctx context.Context, queries []string, gamm
 // per-decision scratch state (vote counts, snippet feature extraction
 // buffers) is checked out of a pool once for the whole chunk.
 func (c Config) resolveChunk(ctx context.Context, queries []string, gamma map[string]struct{}, out []qcache.Verdict) error {
-	lists, err := c.searchBatch(ctx, queries, c.k())
+	lists, err := c.Searcher.SearchBatchContext(ctx, queries, c.k())
 	if err != nil {
 		return err
 	}
 	sc := getScratch()
 	defer putScratch(sc)
 	for i, results := range lists {
-		typ, score, ok := c.decideWith(sc, results, gamma)
+		typ, score, ok := c.decide(sc, results, gamma)
 		out[i] = qcache.Verdict{Type: typ, Score: score, OK: ok}
 	}
 	return nil
 }
 
-// searchAll decides every query, fanning out over Parallelism workers when
-// configured. Verdicts are returned positionally. Cancellation is checked
-// between queries, and — when the backend implements ContextSearcher —
-// inside each round-trip too, so a cancelled context abandons in-flight
-// work instead of letting it complete.
-func (c Config) searchAll(ctx context.Context, queries []string, gamma map[string]struct{}) ([]qcache.Verdict, error) {
-	out := make([]qcache.Verdict, len(queries))
-	cs, hasCtx := c.Searcher.(ContextSearcher)
-	decideOne := func(i int) error {
-		if hasCtx {
-			results, err := cs.SearchContext(ctx, queries[i], c.k())
-			if err != nil {
-				return err
-			}
-			typ, score, ok := c.decide(results, gamma)
-			out[i] = qcache.Verdict{Type: typ, Score: score, OK: ok}
-			return nil
-		}
-		out[i] = c.searchDecide(queries[i], gamma)
-		return nil
-	}
-	workers := c.Parallelism
-	if workers <= 1 || len(queries) < 2 {
-		for i := range queries {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if err := decideOne(i); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	errs := make([]error, len(queries))
-	if err := runPool(ctx, workers, len(queries), func(i int) {
-		errs[i] = decideOne(i)
-	}); err != nil {
+// searchOne issues one query as a single-element batch: the per-cell
+// round-trip of the TIS baseline and of the tracing mode.
+func (c Config) searchOne(ctx context.Context, query string) ([]search.Result, error) {
+	lists, err := c.Searcher.SearchBatchContext(ctx, []string{query}, c.k())
+	if err != nil {
 		return nil, err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// searchDecide performs one search-backend round-trip and the Eq. 1 decision.
-func (c Config) searchDecide(query string, gamma map[string]struct{}) qcache.Verdict {
-	results := c.Searcher.Search(query, c.k())
-	typ, score, ok := c.decide(results, gamma)
-	return qcache.Verdict{Type: typ, Score: score, OK: ok}
+	return lists[0], nil
 }
 
 // cacheKeyPrefix fingerprints every configuration setting a verdict depends
@@ -657,18 +545,11 @@ func putScratch(sc *scratch) { scratchPool.Put(sc) }
 
 // decide turns a result list into an annotation verdict: Eq. 1's majority
 // rule by default, or the cluster-separated variant when ClusterThreshold is
-// set (§5.2's future-work extension, implemented in cluster.go).
-func (c Config) decide(results []search.Result, gamma map[string]struct{}) (string, float64, bool) {
-	sc := getScratch()
-	defer putScratch(sc)
-	return c.decideWith(sc, results, gamma)
-}
-
-// decideWith is decide against caller-owned scratch state. The cluster
+// set (§5.2's future-work extension, implemented in cluster.go). The cluster
 // variant needs every snippet's features alive at once, so it keeps the
 // allocating path; the flat majority rule predicts snippet by snippet
-// through the scratch extractor's reused buffers.
-func (c Config) decideWith(sc *scratch, results []search.Result, gamma map[string]struct{}) (string, float64, bool) {
+// through the caller-owned scratch extractor's reused buffers.
+func (c Config) decide(sc *scratch, results []search.Result, gamma map[string]struct{}) (string, float64, bool) {
 	if c.ClusterThreshold > 0 {
 		return c.clusterDecide(results, gamma)
 	}

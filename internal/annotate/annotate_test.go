@@ -82,9 +82,9 @@ func newFixture(t *testing.T) *fixture {
 	}
 }
 
-func (f *fixture) annotator() *Annotator {
-	return &Annotator{
-		Engine:     f.engine,
+func (f *fixture) config() Config {
+	return Config{
+		Searcher:   f.engine,
 		Classifier: f.classifier,
 		Types:      f.types,
 		K:          10,
@@ -163,7 +163,7 @@ func TestPreprocessorColumnFilter(t *testing.T) {
 
 func TestAnnotateTableFindsEntities(t *testing.T) {
 	f := newFixture(t)
-	res := f.annotator().AnnotateTable(poiTable(t))
+	res := f.config().annotateTable(poiTable(t))
 
 	wantTypes := map[int]string{1: "museum", 2: "museum", 3: "restaurant", 4: "restaurant"}
 	for row, wantType := range wantTypes {
@@ -225,7 +225,7 @@ func TestQueryCacheDeduplicates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res := f.annotator().AnnotateTable(tbl)
+	res := f.config().annotateTable(tbl)
 	if res.Queries != 1 {
 		t.Errorf("queries = %d, want 1 (cache)", res.Queries)
 	}
@@ -255,8 +255,8 @@ func TestPostprocessingKillsRepeatedTypeWords(t *testing.T) {
 		}
 	}
 
-	plain := f.annotator()
-	res := plain.AnnotateTable(tbl)
+	plain := f.config()
+	res := plain.annotateTable(tbl)
 	col2Before := 0
 	for _, a := range res.Annotations {
 		if a.Col == 2 {
@@ -264,9 +264,9 @@ func TestPostprocessingKillsRepeatedTypeWords(t *testing.T) {
 		}
 	}
 
-	post := f.annotator()
+	post := f.config()
 	post.Postprocess = true
-	resPost := post.AnnotateTable(tbl)
+	resPost := post.annotateTable(tbl)
 	for _, a := range resPost.Annotations {
 		if a.Col == 2 {
 			t.Errorf("post-processing kept spurious annotation in column 2: %+v", a)
@@ -302,14 +302,14 @@ func TestDisambiguationResolvesAmbiguousName(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plain := f.annotator()
-	resPlain := plain.AnnotateTable(tbl)
+	plain := f.config()
+	resPlain := plain.annotateTable(tbl)
 	plainAnn, plainOK := find(resPlain, 1, 1)
 
-	dis := f.annotator()
+	dis := f.config()
 	dis.Disambiguate = true
 	dis.Gazetteer = f.gaz
-	resDis := dis.AnnotateTable(tbl)
+	resDis := dis.annotateTable(tbl)
 	ann, ok := find(resDis, 1, 1)
 	if !ok {
 		t.Fatal("disambiguated run did not annotate Melisse")
@@ -357,7 +357,7 @@ func TestTISBaseline(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res := f.annotator().TIS(tbl)
+	res := f.config().TIS(tbl)
 	// Museum pages use the word "museum" densely, so TIS should catch
 	// the museum; either way scores obey Eq. 1 bounds.
 	for _, a := range res.Annotations {
@@ -425,7 +425,7 @@ func TestCataloguePropagationFailsOnMixedTables(t *testing.T) {
 }
 
 func TestAnnotatorDefaultK(t *testing.T) {
-	a := &Annotator{}
+	a := Config{}
 	if a.k() != 10 {
 		t.Errorf("default k = %d, want 10", a.k())
 	}

@@ -1,6 +1,7 @@
 package annotate
 
 import (
+	"context"
 	"strings"
 
 	"repro/internal/table"
@@ -69,7 +70,11 @@ func (c Config) TIS(t *table.Table) *Result {
 			}
 			v, ok := cache[content]
 			if !ok {
-				results := c.Searcher.Search(content, c.k())
+				results, err := c.searchOne(context.Background(), content)
+				if err != nil {
+					// Unreachable: a background context never cancels.
+					panic("annotate: background-context TIS search failed: " + err.Error())
+				}
 				res.Queries++
 				counts := map[string]int{}
 				for _, r := range results {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/qcache"
@@ -12,36 +11,11 @@ import (
 	"repro/internal/table"
 )
 
-// scriptedBatchSearcher upgrades scriptedSearcher with SearchBatch, counting
-// batch calls and batched queries so tests can assert the execute stage
-// actually used the batch path.
-type scriptedBatchSearcher struct {
-	scriptedSearcher
-	batchCalls   atomic.Int64
-	batchQueries atomic.Int64
-}
+// blockingSearcher's round-trips only finish when the context does — the
+// shape of an in-flight remote call a cancellation must be able to abandon.
+type blockingSearcher struct{}
 
-func (s *scriptedBatchSearcher) SearchBatch(queries []string, k int) [][]search.Result {
-	s.batchCalls.Add(1)
-	s.batchQueries.Add(int64(len(queries)))
-	out := make([][]search.Result, len(queries))
-	for i, q := range queries {
-		r := s.results[q]
-		if len(r) > k {
-			r = r[:k]
-		}
-		out[i] = r
-	}
-	return out
-}
-
-// blockingCtxSearcher implements ContextSearcher with round-trips that only
-// finish when the context does — the shape of an in-flight remote call a
-// cancellation must be able to abandon.
-type blockingCtxSearcher struct{}
-
-func (blockingCtxSearcher) Search(query string, k int) []search.Result { return nil }
-func (blockingCtxSearcher) SearchContext(ctx context.Context, query string, k int) ([]search.Result, error) {
+func (blockingSearcher) SearchBatchContext(ctx context.Context, _ []string, _ int) ([][]search.Result, error) {
 	<-ctx.Done()
 	return nil, ctx.Err()
 }
@@ -58,21 +32,19 @@ func wideTable(t *testing.T, n int) *table.Table {
 	return tbl
 }
 
-// batchScript returns a batch-capable searcher answering every query of an
-// n-row wideTable with museum snippets.
-func batchScript(n int) *scriptedBatchSearcher {
-	s := &scriptedBatchSearcher{}
-	s.results = map[string][]search.Result{}
+// batchScript returns a searcher answering every query of an n-row
+// wideTable with museum snippets.
+func batchScript(n int) *scriptedSearcher {
+	s := &scriptedSearcher{results: map[string][]search.Result{}}
 	for i := 0; i < n; i++ {
 		s.results[fmt.Sprintf("Louvre Annex %d", i)] = snippets(10)
 	}
 	return s
 }
 
-// TestExecuteUsesBatchSearcher: with a BatchSearcher backend the execute
-// stage submits chunks — zero single Search calls, every query carried by a
-// batch, verdicts identical to the single-query backend, and the chunk
-// count lands in Result.Batches.
+// TestExecuteUsesBatchSearcher: the execute stage submits chunks — every
+// query carried by a batch of at most maxSearchBatch, verdicts identical at
+// any chunking, and the chunk count lands in Result.Batches.
 func TestExecuteUsesBatchSearcher(t *testing.T) {
 	const rows = 70
 	s := batchScript(rows)
@@ -86,14 +58,11 @@ func TestExecuteUsesBatchSearcher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.calls.Load(); got != 0 {
-		t.Errorf("single Search calls = %d, want 0 (batch path)", got)
-	}
-	if got := s.batchQueries.Load(); got != rows {
+	if got := s.calls.Load(); got != rows {
 		t.Errorf("batched queries = %d, want %d", got, rows)
 	}
 	wantChunks := (rows + maxSearchBatch - 1) / maxSearchBatch
-	if got := s.batchCalls.Load(); got != int64(wantChunks) {
+	if got := s.batches.Load(); got != int64(wantChunks) {
 		t.Errorf("batch calls = %d, want %d (sequential chunking)", got, wantChunks)
 	}
 	if res.Batches != wantChunks {
@@ -103,15 +72,19 @@ func TestExecuteUsesBatchSearcher(t *testing.T) {
 		t.Errorf("annotations=%d queries=%d, want %d each", len(res.Annotations), res.Queries, rows)
 	}
 
-	// The single-query backend must produce the identical annotation set.
-	plain := cfg
-	plain.Searcher = &s.scriptedSearcher
-	res2, err := plain.Annotate(context.Background(), wideTable(t, rows))
+	// Single-query chunks (one worker per query) must produce the
+	// identical annotation set.
+	fine := cfg
+	fine.Parallelism = rows
+	res2, err := fine.Annotate(context.Background(), wideTable(t, rows))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res2.Batches != rows {
+		t.Errorf("parallelism %d: Result.Batches = %d, want %d single-query chunks", rows, res2.Batches, rows)
+	}
 	if fmt.Sprintf("%+v", res.Annotations) != fmt.Sprintf("%+v", res2.Annotations) {
-		t.Error("batched and single-query backends produced different annotations")
+		t.Error("coarse and single-query chunking produced different annotations")
 	}
 }
 
@@ -178,25 +151,31 @@ func TestBatchedExecuteParallelRace(t *testing.T) {
 	}
 }
 
-// TestSearchAllAbandonsInFlight: with a ContextSearcher backend and no
-// cache, a cancellation aborts a round-trip that is already in flight —
-// the call returns promptly with ctx.Err() instead of waiting the backend
-// out.
+// TestSearchAllAbandonsInFlight: on every execute path — with and without a
+// shared cache — a cancellation aborts a search round-trip that is already
+// in flight: the call returns promptly with ctx.Err() instead of waiting
+// the backend out.
 func TestSearchAllAbandonsInFlight(t *testing.T) {
-	cfg := Config{
-		Searcher:   blockingCtxSearcher{},
-		Classifier: constClassifier("museum"),
-		Types:      []string{"museum"},
-		K:          10,
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := cfg.Annotate(ctx, wideTable(t, 3))
-		done <- err
-	}()
-	cancel()
-	if err := <-done; err == nil {
-		t.Fatal("cancelled in-flight search did not surface an error")
+	tbl := wideTable(t, 3)
+	for _, withCache := range []bool{false, true} {
+		cfg := Config{
+			Searcher:   blockingSearcher{},
+			Classifier: constClassifier("museum"),
+			Types:      []string{"museum"},
+			K:          10,
+		}
+		if withCache {
+			cfg.Cache = qcache.New()
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			_, err := cfg.Annotate(ctx, tbl)
+			done <- err
+		}()
+		cancel()
+		if err := <-done; err == nil {
+			t.Fatalf("cache=%v: cancelled in-flight search did not surface an error", withCache)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package annotate
 
 import (
 	"context"
+	"sync/atomic"
 
 	"repro/internal/disambig"
 	"repro/internal/gazetteer"
@@ -42,22 +43,43 @@ type GeoStageStats struct {
 	// Cells is the number of cells that geocoded to at least one
 	// candidate (= the interpretations fed to disambiguation).
 	Cells int
-	// Components, LargestComponent and Edges describe the voting graph's
-	// connected-component decomposition (see disambig.Stats).
+	// Components and LargestComponent describe the voting graph's
+	// connected-component decomposition (see disambig.Stats). Both are
+	// deterministic; the scheduling-dependent scratch high-water mark is
+	// reported through Config.ScratchGauge instead.
 	Components       int
 	LargestComponent int
-	// PeakScratchBytes is the high-water mark of pooled per-component
-	// scratch held concurrently during resolution — the O(largest
-	// component × workers) memory bound made observable.
-	PeakScratchBytes int64
 }
 
-func stageStats(cells int, st disambig.Stats) GeoStageStats {
+// ScratchGauge is a runtime high-water mark of the pooled per-component
+// scratch, in bytes, that any one geo-stage resolve reporting to it held at
+// once (disambig.Stats.PeakScratchBytes). Its value depends on goroutine
+// scheduling, so it belongs on live metrics, never in a result that is
+// compared. The zero value is ready; safe for concurrent use.
+type ScratchGauge struct{ peak atomic.Int64 }
+
+// Peak returns the highest value the gauge was raised to.
+func (g *ScratchGauge) Peak() int64 { return g.peak.Load() }
+
+func (g *ScratchGauge) raise(v int64) {
+	for {
+		p := g.peak.Load()
+		if v <= p || g.peak.CompareAndSwap(p, v) {
+			return
+		}
+	}
+}
+
+// stageStats derives the run's deterministic statistics from the
+// resolver's, raising the scratch gauge when one is configured.
+func (c Config) stageStats(cells int, st disambig.Stats) GeoStageStats {
+	if c.ScratchGauge != nil {
+		c.ScratchGauge.raise(st.PeakScratchBytes)
+	}
 	return GeoStageStats{
 		Cells:            cells,
 		Components:       st.Components,
 		LargestComponent: st.LargestComponent,
-		PeakScratchBytes: st.PeakScratchBytes,
 	}
 }
 
@@ -92,7 +114,7 @@ func (c Config) resolveGeo(ctx context.Context, t *table.Table) (*geoResolution,
 		interps: interps,
 		choice:  choice,
 		detail:  detail,
-		stats:   stageStats(len(interps), st),
+		stats:   c.stageStats(len(interps), st),
 	}, nil
 }
 
@@ -186,8 +208,8 @@ func (c Config) GeoAnnotate(ctx context.Context, t *table.Table) ([]GeoAnnotatio
 var geoStreamThreshold = 4096
 
 // GeoAnnotateStats is GeoAnnotate plus the stage's decomposition
-// statistics (component counts and the peak pooled-scratch high-water
-// mark), for serving layers that surface them.
+// statistics (cell and component counts), for serving layers that surface
+// them.
 //
 // Huge tables — above geoStreamThreshold geocoded cells, with no
 // resolution prepared by PrepareGeo — take a streaming path: components
@@ -216,7 +238,7 @@ func (c Config) GeoAnnotateStats(ctx context.Context, t *table.Table) ([]GeoAnno
 			interps: interps,
 			choice:  choice,
 			detail:  detail,
-			stats:   stageStats(len(interps), st),
+			stats:   c.stageStats(len(interps), st),
 		}
 	}
 	out := make([]GeoAnnotation, 0, len(res.interps))
@@ -257,7 +279,7 @@ func (c Config) geoAnnotateStream(interps []disambig.Interpretation) ([]GeoAnnot
 			compact = append(compact, ga)
 		}
 	}
-	return compact, stageStats(len(interps), st), nil
+	return compact, c.stageStats(len(interps), st), nil
 }
 
 // geoAnnotation renders one resolved cell.

@@ -208,24 +208,6 @@ func TestPrepareGeo(t *testing.T) {
 	}
 }
 
-// TestAnnotatorTypedNilGazetteer: the legacy facade's interface-typed
-// Gazetteer field must treat a typed-nil pointer — the pattern pre-split
-// callers used against the concrete field — exactly like nil.
-func TestAnnotatorTypedNilGazetteer(t *testing.T) {
-	var b *gazetteer.Builder
-	var f *gazetteer.Frozen
-	for name, g := range map[string]gazetteer.Geo{"untyped nil": nil, "nil builder": b, "nil frozen": f} {
-		a := &Annotator{Disambiguate: true, Gazetteer: g}
-		if cfg := a.Config(); cfg.Gazetteer != nil {
-			t.Errorf("%s: Config.Gazetteer = %#v, want nil interface", name, cfg.Gazetteer)
-		}
-	}
-	real := gazetteer.Synthetic(1)
-	if cfg := (&Annotator{Gazetteer: real}).Config(); cfg.Gazetteer != gazetteer.Geo(real) {
-		t.Error("real gazetteer was dropped by the nil normalisation")
-	}
-}
-
 // mustPrepare is PrepareGeo under a background context for tests.
 func mustPrepare(t *testing.T, c Config, tbl *table.Table) Config {
 	t.Helper()
@@ -244,5 +226,43 @@ func TestGeoAnnotateCancelledMidResolution(t *testing.T) {
 	cancel()
 	if _, err := cfg.PrepareGeo(ctx, geoTestTable(t)); err != context.Canceled {
 		t.Errorf("cancelled PrepareGeo error = %v, want context.Canceled", err)
+	}
+}
+
+// TestScratchGauge: a configured gauge records the geo stage's pooled
+// scratch on both the batch and the streaming path and never falls, while
+// the run's annotations and stats stay exactly those of an ungauged run.
+func TestScratchGauge(t *testing.T) {
+	mg := gazetteer.SyntheticScale(42, 6)
+	tbl := addressTable(t, mg, 50, 3)
+	ctx := context.Background()
+	plain := Config{Gazetteer: mg.Freeze(), GeoWorkers: 2}
+	want, wantStats, err := plain.GeoAnnotateStats(ctx, tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(v int) { geoStreamThreshold = v }(geoStreamThreshold)
+	for _, threshold := range []int{1 << 20, 1} { // batch, then streaming
+		geoStreamThreshold = threshold
+		var gauge ScratchGauge
+		gauged := plain
+		gauged.ScratchGauge = &gauge
+		got, gotStats, err := gauged.GeoAnnotateStats(ctx, tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotStats != wantStats || !reflect.DeepEqual(got, want) {
+			t.Fatalf("threshold %d: the gauge changed the run's output", threshold)
+		}
+		peak := gauge.Peak()
+		if peak <= 0 {
+			t.Fatalf("threshold %d: gauge = %d after a decomposing resolve, want > 0", threshold, peak)
+		}
+		if _, _, err := gauged.GeoAnnotateStats(ctx, geoTestTable(t)); err != nil {
+			t.Fatal(err)
+		}
+		if gauge.Peak() < peak {
+			t.Fatalf("threshold %d: gauge fell from %d to %d", threshold, peak, gauge.Peak())
+		}
 	}
 }

@@ -15,7 +15,7 @@ type Hybrid struct {
 	// Catalogue handles the known entities at zero query cost.
 	Catalogue *CatalogueAnnotator
 	// Discovery handles the cells the catalogue does not know.
-	Discovery *Annotator
+	Discovery Config
 }
 
 // AnnotateTable annotates known cells from the catalogue, sends only the
@@ -31,7 +31,7 @@ func (h *Hybrid) AnnotateTable(t *table.Table) *Result {
 
 	// Run discovery with post-processing deferred so Eq. 2 sees the
 	// merged annotation set.
-	cfg := h.Discovery.Config()
+	cfg := h.Discovery
 	post := cfg.Postprocess
 	cfg.Postprocess = false
 	discRes := mustResult(cfg.annotateExcluding(context.Background(), t, known))
@@ -44,7 +44,18 @@ func (h *Hybrid) AnnotateTable(t *table.Table) *Result {
 		CacheMisses: discRes.CacheMisses,
 	}
 	if post {
-		h.Discovery.Config().postprocess(t, merged)
+		h.Discovery.postprocess(t, merged)
 	}
 	return merged
+}
+
+// mustResult unwraps a pipeline run that cannot have failed: the only error
+// the pipeline returns is ctx.Err(), and every caller of mustResult runs
+// under context.Background(), which never cancels. The panic guards the
+// invariant instead of silently returning a truncated Result.
+func mustResult(res *Result, err error) *Result {
+	if err != nil {
+		panic("annotate: background-context run failed: " + err.Error())
+	}
+	return res
 }

@@ -65,8 +65,9 @@ func sortedVoteTypes(votes map[string]int) []string {
 // Explain runs the annotation pipeline in tracing mode and returns one
 // explanation per cell (post-processing is not applied: explanations show
 // the raw Eq. 1 decisions the column-coherence step would then filter).
-// Like Annotate, ctx is checked between cell queries: a cancelled trace
-// returns ctx.Err() instead of finishing its remaining round-trips.
+// Like Annotate, ctx is checked between cell queries and observed inside
+// each round-trip: a cancelled trace returns ctx.Err() instead of finishing
+// its remaining round-trips.
 func (c Config) Explain(ctx context.Context, t *table.Table) ([]CellExplanation, error) {
 	gamma := c.typeSet()
 	var cityByRow map[int]string
@@ -96,7 +97,10 @@ func (c Config) Explain(ctx context.Context, t *table.Table) ([]CellExplanation,
 			if city := cityByRow[i]; city != "" && !strings.Contains(strings.ToLower(content), strings.ToLower(city)) {
 				e.Query = content + " " + city
 			}
-			results := c.Searcher.Search(e.Query, c.k())
+			results, err := c.searchOne(ctx, e.Query)
+			if err != nil {
+				return nil, err
+			}
 			e.Retrieved = len(results)
 			e.Votes = map[string]int{}
 			for _, r := range results {

@@ -68,7 +68,9 @@ type Stats struct {
 	// PeakScratchBytes is the high-water mark of per-component scratch
 	// (record buffers, edge staging, local CSR, score buffers) held
 	// concurrently across the resolve's workers — the O(largest component
-	// × workers) bound made observable.
+	// × workers) bound made observable. Unlike every other field it
+	// depends on goroutine scheduling: two runs over the same input may
+	// report different values.
 	PeakScratchBytes int64
 }
 

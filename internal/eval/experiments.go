@@ -33,23 +33,6 @@ func (l *Lab) config(clf classify.Classifier, postprocess, disambiguate bool) an
 	}
 }
 
-// annotator is the legacy-facade variant of config, kept for the comparators
-// that take an *annotate.Annotator (the hybrid annotator's Discovery field).
-func (l *Lab) annotator(clf classify.Classifier, postprocess, disambiguate bool) *annotate.Annotator {
-	return &annotate.Annotator{
-		Engine:       l.Engine,
-		Classifier:   clf,
-		Types:        TypeStrings(),
-		K:            l.Cfg.K,
-		Postprocess:  postprocess,
-		Disambiguate: disambiguate,
-		Gazetteer:    l.Geo,
-		Parallelism:  l.Cfg.Parallelism,
-		Cache:        l.Cache,
-		CacheSalt:    l.clfName(clf),
-	}
-}
-
 // clfName identifies a lab classifier for cache namespacing and memo keys.
 func (l *Lab) clfName(clf classify.Classifier) string {
 	if clf == l.Bayes {

@@ -6,11 +6,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestGetOrComputeBatchBasics: cached keys hit, fresh keys miss in one
 // compute call carrying exactly the missed keys in order, duplicates are
-// computed once, and the counters match a sequential GetOrCompute loop.
+// computed once, and the counters match a sequential single-key loop.
 func TestGetOrComputeBatchBasics(t *testing.T) {
 	c := New()
 	c.Put("warm", Verdict{Type: "museum", OK: true})
@@ -156,10 +157,60 @@ func TestGetOrComputeBatchComputeError(t *testing.T) {
 		t.Errorf("entries = %d, want 2", s.Entries)
 	}
 
-	// GetOrCompute waiters also survive a failed batch computation.
-	v, hit := c.GetOrCompute("x", func() Verdict { return Verdict{Type: "recompute"} })
-	if !hit || v.Type != "x" {
-		t.Errorf("GetOrCompute after recovery = (%+v, hit=%v), want cached x", v, hit)
+	// A later single-key lookup is a plain hit on the taken-over verdict.
+	v, hit, err := getOrCompute(c, "x", func() (Verdict, error) { return Verdict{Type: "recompute"}, nil })
+	if err != nil || !hit || v.Type != "x" {
+		t.Errorf("lookup after recovery = (%+v, hit=%v, err=%v), want cached x", v, hit, err)
+	}
+}
+
+// TestGetOrComputeCancelTakeover: single-key batches racing on one key — the
+// computing caller is cancelled mid-compute, so its waiter takes the key
+// over and computes it itself instead of inheriting the failure.
+func TestGetOrComputeCancelTakeover(t *testing.T) {
+	c := New()
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	firstErr := make(chan error, 1)
+	go func() {
+		_, _, err := getOrCompute(c, "k", func() (Verdict, error) {
+			close(entered)
+			<-release
+			return Verdict{}, context.Canceled
+		})
+		firstErr <- err
+	}()
+	<-entered // "k" is now pending under the doomed caller
+
+	type result struct {
+		v   Verdict
+		hit bool
+		err error
+	}
+	second := make(chan result, 1)
+	var computed atomic.Int64
+	go func() {
+		v, hit, err := getOrCompute(c, "k", func() (Verdict, error) {
+			computed.Add(1)
+			return Verdict{Type: "museum", OK: true}, nil
+		})
+		second <- result{v, hit, err}
+	}()
+	time.Sleep(5 * time.Millisecond) // let the waiter block on the pending key
+	close(release)
+
+	if err := <-firstErr; err != context.Canceled {
+		t.Errorf("cancelled caller error = %v, want context.Canceled", err)
+	}
+	r := <-second
+	if r.err != nil || r.hit || r.v.Type != "museum" {
+		t.Errorf("waiter = (%+v, hit=%v, err=%v), want its own computed museum verdict", r.v, r.hit, r.err)
+	}
+	if n := computed.Load(); n != 1 {
+		t.Errorf("waiter computed %d times, want 1 (took the key over)", n)
+	}
+	if s := c.Stats(); s.Entries != 1 || s.Misses != 1 {
+		t.Errorf("stats = %+v, want 1 entry / 1 miss (the failed compute counts nothing)", s)
 	}
 }
 

@@ -83,8 +83,23 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
-// TestGetOrComputeSingleflight: concurrent misses of one key run compute
-// exactly once; everyone gets the same verdict, one miss is counted.
+// getOrCompute is a single-key GetOrComputeBatch.
+func getOrCompute(c *Cache, key string, compute func() (Verdict, error)) (Verdict, bool, error) {
+	vs, hits, err := c.GetOrComputeBatch([]string{key}, func(miss []string) ([]Verdict, error) {
+		v, err := compute()
+		if err != nil {
+			return nil, err
+		}
+		return []Verdict{v}, nil
+	})
+	if err != nil {
+		return Verdict{}, false, err
+	}
+	return vs[0], hits[0], nil
+}
+
+// TestGetOrComputeSingleflight: concurrent single-key misses of one key run
+// compute exactly once; everyone gets the same verdict, one miss is counted.
 func TestGetOrComputeSingleflight(t *testing.T) {
 	c := New()
 	var computes atomic.Int64
@@ -96,13 +111,13 @@ func TestGetOrComputeSingleflight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			v, _ := c.GetOrCompute("shared-key", func() Verdict {
+			v, _, err := getOrCompute(c, "shared-key", func() (Verdict, error) {
 				computes.Add(1)
 				time.Sleep(5 * time.Millisecond) // widen the race window
-				return Verdict{Type: "museum", Score: 0.9, OK: true}
+				return Verdict{Type: "museum", Score: 0.9, OK: true}, nil
 			})
-			if v.Type != "museum" {
-				t.Errorf("verdict = %+v", v)
+			if err != nil || v.Type != "museum" {
+				t.Errorf("verdict = %+v, err = %v", v, err)
 			}
 		}()
 	}
@@ -116,7 +131,7 @@ func TestGetOrComputeSingleflight(t *testing.T) {
 		t.Errorf("stats = %+v, want 1 miss / %d hits", s, workers-1)
 	}
 	// A later call is a plain cached hit.
-	if _, hit := c.GetOrCompute("shared-key", func() Verdict { t.Error("recomputed"); return Verdict{} }); !hit {
+	if _, hit, _ := getOrCompute(c, "shared-key", func() (Verdict, error) { t.Error("recomputed"); return Verdict{}, nil }); !hit {
 		t.Error("cached key reported as miss")
 	}
 }
@@ -212,12 +227,7 @@ func TestTTLExpiry(t *testing.T) {
 	if st.Entries != 0 {
 		t.Errorf("entries = %d, want 0 after lazy expiry collected the entry", st.Entries)
 	}
-	// GetOrCompute recomputes an expired key instead of serving it.
-	v, hit := c.GetOrCompute("a", func() Verdict { return Verdict{Type: "fresh", OK: true} })
-	if hit || v.Type != "fresh" {
-		t.Errorf("GetOrCompute on expired key = %+v, hit=%v; want recompute", v, hit)
-	}
-	// GetOrComputeBatch likewise.
+	// GetOrComputeBatch recomputes an expired key instead of serving it.
 	now = now.Add(2 * time.Minute)
 	vs, hits, err := c.GetOrComputeBatch([]string{"a"}, func(miss []string) ([]Verdict, error) {
 		if len(miss) != 1 {

@@ -39,11 +39,9 @@ import (
 // corpus. Every count and id is bounds-checked during decoding, so a corrupt
 // or adversarial stream yields an error, never a panic or a huge allocation.
 //
-// History: version 2 added the positional section, version 3 the shardCount
-// header field, both storing postings/positions only as integrity sections
-// verified against a full re-tokenisation of the stored bodies. Version
-// 2 and 3 files still load through that re-add path; version 4 is what
-// writers produce.
+// Version 4 is the only version read or written. The older versions 2 and
+// 3 stored postings and positions only as integrity sections over a full
+// re-tokenisation of the bodies on load; they fail with a *VersionError.
 
 const (
 	indexMagic   = "TIDX"
@@ -645,7 +643,17 @@ func readV4(br *byteReader, shards int) (*ShardedIndex, error) {
 	return s, nil
 }
 
-// readAny decodes any supported stream version into a sharded index. The
+// VersionError reports an index stream in a format version this reader does
+// not load: the retired v2/v3 replay-on-load formats, or a future one.
+type VersionError struct {
+	Version uint32
+}
+
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("search: unsupported index version %d; rebuild with cmd/snapshot", e.Version)
+}
+
+// readAny decodes a version-4 stream into a sharded index. The
 // whole stream is buffered in memory first (callers either hand over
 // already-buffered snapshot sections or open bounded files), which lets the
 // decoder work over flat blocks instead of per-integer reads.
@@ -670,24 +678,17 @@ func readAnyBytes(data []byte) (*ShardedIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := 1
-	if version != 2 {
-		v, err := br.u32()
-		if err != nil {
-			return nil, err
-		}
-		if v == 0 || v > 1<<16 {
-			return nil, fmt.Errorf("search: corrupt index (shard count %d)", v)
-		}
-		shards = int(v)
+	if version != indexVersion {
+		return nil, &VersionError{Version: version}
 	}
-	switch version {
-	case 2, 3:
-		return readLegacy(br, shards)
-	case indexVersion:
-		return readV4(br, shards)
+	shards, err := br.u32()
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("search: unsupported index version %d", version)
+	if shards == 0 || shards > 1<<16 {
+		return nil, fmt.Errorf("search: corrupt index (shard count %d)", shards)
+	}
+	return readV4(br, int(shards))
 }
 
 // ReadIndex loads a monolithic index previously written with Index.WriteTo.
@@ -706,8 +707,8 @@ func ReadIndex(r io.Reader) (*Index, error) {
 }
 
 // ReadShardedIndex loads any index snapshot as a ShardedIndex with the
-// stored shard count (1 for monolithic and version-2 files). The loaded
-// index is returned frozen and ready to serve queries.
+// stored shard count (1 for monolithic files). The loaded index is returned
+// frozen and ready to serve queries.
 func ReadShardedIndex(r io.Reader) (*ShardedIndex, error) {
 	return readAny(r)
 }
@@ -717,111 +718,4 @@ func ReadShardedIndex(r io.Reader) (*ShardedIndex, error) {
 // reader, after checksumming) use this to skip a second full-stream copy.
 func ReadShardedIndexBytes(data []byte) (*ShardedIndex, error) {
 	return readAnyBytes(data)
-}
-
-// readLegacy loads a version 2/3 stream: documents are re-added through the
-// live tokenisation path (rebuilding all derived state), then each shard's
-// stored postings and positions are verified against the rebuilt maps.
-func readLegacy(br *byteReader, shards int) (*ShardedIndex, error) {
-	s := NewShardedIndex(shards)
-	docCount, err := br.u32()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < docCount; i++ {
-		var fields [4]string
-		for f := range fields {
-			s, err := br.str()
-			if err != nil {
-				return nil, fmt.Errorf("search: doc %d: %w", i, err)
-			}
-			fields[f] = s
-		}
-		s.Add(Document{URL: fields[0], Title: fields[1], Body: fields[2], Lang: fields[3]})
-	}
-	for si, sh := range s.shards {
-		if err := verifyLegacySections(br, sh); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", si, err)
-		}
-	}
-	s.Freeze()
-	return s, nil
-}
-
-// verifyLegacySections checks one shard's stored v2/v3 postings and
-// positions against the re-tokenised state (the old formats' integrity
-// sections).
-func verifyLegacySections(br *byteReader, ix *Index) error {
-	termCount, err := br.u32()
-	if err != nil {
-		return err
-	}
-	for i := uint32(0); i < termCount; i++ {
-		term, err := br.str()
-		if err != nil {
-			return err
-		}
-		n, err := br.u32()
-		if err != nil {
-			return err
-		}
-		rebuilt := ix.postings[term]
-		if uint32(len(rebuilt)) != n {
-			return fmt.Errorf("search: postings mismatch for %q: %d stored, %d rebuilt", term, n, len(rebuilt))
-		}
-		for j := uint32(0); j < n; j++ {
-			doc, err := br.u32()
-			if err != nil {
-				return err
-			}
-			tf, err := br.u32()
-			if err != nil {
-				return err
-			}
-			if rebuilt[j].doc != int(doc) || rebuilt[j].tf != int(tf) {
-				return fmt.Errorf("search: posting %d of %q differs", j, term)
-			}
-		}
-	}
-	posTermCount, err := br.u32()
-	if err != nil {
-		return err
-	}
-	for i := uint32(0); i < posTermCount; i++ {
-		term, err := br.str()
-		if err != nil {
-			return err
-		}
-		n, err := br.u32()
-		if err != nil {
-			return err
-		}
-		rebuilt := ix.positions[term]
-		if uint32(len(rebuilt)) != n {
-			return fmt.Errorf("search: position lists mismatch for %q: %d stored, %d rebuilt", term, n, len(rebuilt))
-		}
-		for j := uint32(0); j < n; j++ {
-			doc, err := br.u32()
-			if err != nil {
-				return err
-			}
-			np, err := br.u32()
-			if err != nil {
-				return err
-			}
-			if rebuilt[j].doc != int(doc) || uint32(len(rebuilt[j].pos)) != np {
-				return fmt.Errorf("search: position list %d of %q differs", j, term)
-			}
-			for pj := uint32(0); pj < np; pj++ {
-				pos, err := br.u32()
-				if err != nil {
-					return err
-				}
-				if rebuilt[j].pos[pj] != int32(pos) {
-					return fmt.Errorf("search: position %d of %q in doc %d differs", pj, term, doc)
-				}
-			}
-		}
-	}
-	return nil
 }

@@ -208,7 +208,8 @@ type SnapshotFull struct {
 // carried the geocode flag, and the component-parallel resolver's
 // decomposition counters — components resolved cumulatively, the largest
 // component seen, and the high-water mark of pooled per-component scratch
-// bytes held at once (the stage's bounded working memory).
+// bytes any one geocode held at once (the stage's bounded working memory) —
+// a runtime gauge of the serving service, so it restarts on a reload.
 type GeoFull struct {
 	GazetteerLocations int   `json:"gazetteer_locations"`
 	Requests           int64 `json:"requests"`

@@ -65,7 +65,6 @@ type Server struct {
 
 	geoComponents  atomic.Int64 // disambiguation components resolved, cumulative
 	geoLargestComp atomic.Int64 // largest component seen, in nodes
-	geoPeakScratch atomic.Int64 // pooled per-component scratch high-water mark, bytes
 }
 
 // raiseMax lifts the atomic to v when v is larger, keeping the running
@@ -85,7 +84,6 @@ func (s *Server) recordGeoStats(st repro.GeoStats) {
 	s.geoResolved.Add(int64(st.Resolved))
 	s.geoComponents.Add(int64(st.Components))
 	raiseMax(&s.geoLargestComp, int64(st.LargestComponent))
-	raiseMax(&s.geoPeakScratch, st.PeakScratchBytes)
 }
 
 // New builds a Server; it panics when cfg.Service is nil (a wiring bug, not
@@ -409,7 +407,7 @@ func (s *Server) handleStatz(w http.ResponseWriter, _ *http.Request) {
 		CellsResolved:      s.geoResolved.Load(),
 		Components:         s.geoComponents.Load(),
 		LargestComponent:   s.geoLargestComp.Load(),
-		PeakScratchBytes:   s.geoPeakScratch.Load(),
+		PeakScratchBytes:   svc.GeoPeakScratchBytes(),
 	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -516,32 +516,25 @@ func TestDefaultsApplied(t *testing.T) {
 	New(Config{})
 }
 
-// statzService is a second package-wide service, this one WITH the shared
-// cache (tightly capped so eviction counters move): the statz golden locks
-// the cache section's wire shape, which the cache-less testService never
-// emits. Built once; only the statz golden uses it.
-var (
-	statzSvcOnce sync.Once
-	statzSvcVal  *repro.Service
-)
-
+// statzService builds a fresh service WITH the shared cache (tightly capped
+// so eviction counters move): the statz golden locks the cache section's
+// wire shape, which the cache-less testService never emits. Every call
+// builds anew, so no cache, engine or geo counter carries over from an
+// earlier run (-count=N) into the golden.
 func statzService(t *testing.T) *repro.Service {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("service construction skipped in -short mode")
 	}
-	statzSvcOnce.Do(func() {
-		// Sequential (default) parallelism and one shard keep every /statz
-		// counter — including the FIFO eviction count — deterministic.
-		svc, err := repro.New(context.Background(), repro.WithSeed(42),
-			repro.WithSearchShards(1), repro.WithSharedCache(),
-			repro.WithCacheLimits(32, 0))
-		if err != nil {
-			panic(err)
-		}
-		statzSvcVal = svc
-	})
-	return statzSvcVal
+	// Sequential (default) parallelism and one shard keep every /statz
+	// counter — including the FIFO eviction count — deterministic.
+	svc, err := repro.New(context.Background(), repro.WithSeed(42),
+		repro.WithSearchShards(1), repro.WithSharedCache(),
+		repro.WithCacheLimits(32, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc
 }
 
 // TestStatzGoldenWire locks the GET /statz JSON body byte-for-byte (uptime

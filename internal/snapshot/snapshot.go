@@ -54,7 +54,7 @@ const (
 
 // Canonical section names, in file order.
 const (
-	SectionSearch    = "search"    // TIDX v3 sharded index stream
+	SectionSearch    = "search"    // TIDX v4 sharded index stream
 	SectionGazetteer = "gazetteer" // TGAZ v1 frozen gazetteer stream
 	SectionSVM       = "svm"       // TCLF v1 linear SVM stream
 	SectionBayes     = "bayes"     // TCLF v1 Naive Bayes stream

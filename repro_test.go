@@ -1,8 +1,10 @@
 package repro
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/annotate"
 	"repro/internal/world"
 )
 
@@ -13,8 +15,7 @@ func TestFacadeQuickstart(t *testing.T) {
 		t.Skip("facade integration test skipped in -short mode")
 	}
 	// Reuse the benchmark lab (building a second system would double the
-	// suite's setup time); the hand-wired annotator below matches what
-	// System.Annotator returns.
+	// suite's setup time) and wire the pipeline over it by hand.
 	l := lab()
 	w := l.World
 
@@ -32,13 +33,16 @@ func TestFacadeQuickstart(t *testing.T) {
 		}
 	}
 
-	a := &Annotator{
-		Engine:      l.Engine,
+	cfg := annotate.Config{
+		Searcher:    l.Engine,
 		Classifier:  l.SVM,
 		Types:       Types(),
 		Postprocess: true,
 	}
-	res := a.AnnotateTable(&tbl)
+	res, err := cfg.Annotate(context.Background(), &tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Annotations) == 0 {
 		t.Fatal("quickstart produced no annotations")
 	}
@@ -72,56 +76,5 @@ func TestTypesList(t *testing.T) {
 		if !seen[want] {
 			t.Errorf("missing type %q", want)
 		}
-	}
-}
-
-// TestNewSystemSmall builds the public facade once to guarantee the exported
-// constructor path works (slower than the lab-reuse above, still bounded).
-func TestNewSystemSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("facade construction test skipped in -short mode")
-	}
-	sys := NewSystem(Options{Seed: 123})
-	if sys.Engine().IndexSize() == 0 {
-		t.Fatal("empty engine index")
-	}
-	if sys.Classifier("svm") == nil || sys.Classifier("bayes") == nil {
-		t.Fatal("classifiers missing")
-	}
-	if sys.Gazetteer() == nil || sys.KB() == nil || sys.World() == nil || sys.Lab() == nil {
-		t.Fatal("facade accessors returned nil")
-	}
-	a := sys.Annotator()
-	if a.Engine == nil || a.Classifier == nil || len(a.Types) != 12 {
-		t.Fatalf("annotator misconfigured: %+v", a)
-	}
-}
-
-// TestNewSystemLegacyOptions exercises the deprecated constructor's lenient
-// option handling: every Options field set, including values repro.New
-// validates strictly, must still produce a working system.
-func TestNewSystemLegacyOptions(t *testing.T) {
-	if testing.Short() {
-		t.Skip("facade construction test skipped in -short mode")
-	}
-	sys := NewSystem(Options{
-		Seed:        9,
-		Scale:       "galactic", // legacy behaviour: silent fallback to small
-		Classifier:  "bayes",
-		Parallelism: 2,
-		ShareCache:  true,
-	})
-	a := sys.Annotator()
-	if a.Cache == nil {
-		t.Error("ShareCache did not wire the cross-table cache")
-	}
-	if a.CacheSalt != "bayes" {
-		t.Errorf("CacheSalt = %q, want bayes", a.CacheSalt)
-	}
-	if a.Classifier != sys.Classifier("bayes") {
-		t.Error("Annotator classifier is not the bayes classifier")
-	}
-	if a.Parallelism != 2 {
-		t.Errorf("Parallelism = %d, want 2", a.Parallelism)
 	}
 }

@@ -63,8 +63,7 @@ type settings struct {
 }
 
 // Option configures New. Options validate eagerly: an invalid value makes
-// New return an *OptionError instead of silently falling back the way the
-// legacy NewSystem does.
+// New return an *OptionError instead of silently falling back to a default.
 type Option func(*settings) error
 
 // WithSeed sets the seed that drives every random choice; equal seeds give
@@ -226,6 +225,9 @@ type Service struct {
 	// from; the expensive components (classifier, engine, gazetteer) are
 	// shared by reference and never rebuilt per request.
 	base annotate.Config
+	// geoScratch records the geocode path's pooled-scratch high-water mark
+	// (see GeoPeakScratchBytes).
+	geoScratch annotate.ScratchGauge
 }
 
 // SnapshotInfo describes the bundle a snapshot-booted service loaded,
@@ -670,10 +672,6 @@ type GeoStats struct {
 	// table split into, and the node count of the biggest one.
 	Components       int
 	LargestComponent int
-	// PeakScratchBytes is the high-water mark of pooled per-component
-	// scratch held concurrently while resolving — the stage's bounded
-	// working memory, O(largest component × workers).
-	PeakScratchBytes int64
 }
 
 // GeocodeResponse is the result of one GeocodeRequest.
@@ -708,7 +706,9 @@ func (s *Service) Geocode(ctx context.Context, req *GeocodeRequest) (*GeocodeRes
 		return nil, err
 	}
 	start := time.Now()
-	gas, stage, err := s.base.GeoAnnotateStats(ctx, req.Table)
+	cfg := s.base
+	cfg.ScratchGauge = &s.geoScratch
+	gas, stage, err := cfg.GeoAnnotateStats(ctx, req.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -724,7 +724,6 @@ func geoStats(t *Table, gas []GeoAnnotation, stage annotate.GeoStageStats) GeoSt
 		Resolved:         len(gas),
 		Components:       stage.Components,
 		LargestComponent: stage.LargestComponent,
-		PeakScratchBytes: stage.PeakScratchBytes,
 	}
 	for _, j := range t.ColumnIndexesOfType(table.Location) {
 		for i := 1; i <= t.NumRows(); i++ {
@@ -1005,6 +1004,8 @@ func (s *Service) World() *world.World { return s.lab.World }
 // Lab exposes the full experimental apparatus for benchmark harnesses.
 func (s *Service) Lab() *eval.Lab { return s.lab }
 
-// System returns the deprecated pre-v1 facade over this service, for code
-// mid-migration that still needs a *System (see System's doc).
-func (s *Service) System() *System { return &System{svc: s} }
+// GeoPeakScratchBytes is a runtime gauge: the most pooled per-component
+// scratch, in bytes, any one Geocode on this service held at once — the
+// geo stage's bounded working memory, O(largest component × workers). It
+// depends on goroutine scheduling, which is why it is not part of GeoStats.
+func (s *Service) GeoPeakScratchBytes() int64 { return s.geoScratch.Peak() }
