@@ -6,14 +6,15 @@ package disambig
 // rows and columns rarely couple the whole table, so the graph splits into
 // independent islands (per-cell normalisation couples every node of a cell,
 // so a cell's nodes always land in one island together). This file labels
-// the components with a union-find pass over the SAME join-group records
-// BuildGraph sorts — without materialising a single edge — then builds,
+// the components with a union-find pass over the join-group records
+// (walkGroups) — without materialising a single edge — then builds,
 // propagates and decides each component independently: a bounded worker
 // pool streams components through pooled per-component scratch, so peak
 // memory is O(largest component × workers) instead of O(whole graph).
 //
-// Results are bit-identical to the whole-table loop (same choices, same
-// float64 scores). Two properties make that work:
+// Results are bit-identical to the global fixed-point loop over the whole
+// table that the seed reference runs (reference_test.go): same choices, same
+// float64 scores. Two properties make that work:
 //
 //  1. Within a component, local node ids follow ascending global order, so
 //     every CSR in-list keeps the reference summation order and each
@@ -260,7 +261,7 @@ func (r *compRun) convAt(t int) bool {
 //
 // Local node ids are assigned in ascending global-node order, so the local
 // counting sorts produce in-lists in the reference summation order and each
-// iteration is bitwise identical to the whole-table loop restricted to this
+// iteration is bitwise identical to the global loop restricted to this
 // component. localOf is the shared global-to-local index table; components
 // are disjoint, so concurrent workers touch disjoint entries.
 func (d *decomposition) runComp(comp []int32, r *compRun, sc *compScratch, localOf []int32, global []float64, resume, stopAtConv bool, until int) {
@@ -280,8 +281,15 @@ func (d *decomposition) runComp(comp []int32, r *compRun, sc *compScratch, local
 		}
 	}
 
-	// Local CSR: BuildGraph's edge discovery and canonicalisation,
-	// restricted to the component's nodes.
+	// Local CSR. A directed edge v -> w exists iff v and w sit in the same
+	// row or column (not the same cell) and their locations share a
+	// container in the paper's sense: equal direct containers, or one being
+	// the other's direct container. Within one join group the first are the
+	// container×container pairs, the second the location×container pairs,
+	// both voting in each direction; the clauses are mutually exclusive and
+	// a node pair shares at most one bucket, so each edge is emitted once.
+	// Canonicalising by a two-pass stable counting sort (by voter, then by
+	// target) leaves every in-list in the reference summation order.
 	sc.voters = sc.voters[:0]
 	sc.targets = sc.targets[:0]
 	emit := func(v, t int32) {
@@ -361,8 +369,8 @@ func (d *decomposition) runComp(comp []int32, r *compRun, sc *compScratch, local
 		}
 	}
 
-	// Large components keep the whole-table loop's intra-graph fan-out on
-	// top of the component-level parallelism.
+	// Large components also fan the vote summation out over their nodes,
+	// on top of the component-level parallelism.
 	workers := 1
 	if m >= propagationParallelThreshold {
 		workers = min(runtime.GOMAXPROCS(0), 8)
@@ -478,7 +486,7 @@ func (d *decomposition) resolveComponents(opt Options, done func(ci int, global 
 	// iterations were sub-eps.
 	runPhase(func(int) bool { return true }, false, true, maxIter, nil)
 
-	// Coordinator: the whole-table loop stops after the FIRST iteration
+	// Coordinator: the global loop stops after the FIRST iteration
 	// whose global max delta is sub-eps — equivalently, the first t at
 	// which EVERY component's delta is sub-eps — or after maxIter.
 	// Determine that T from the records, resuming components whose
@@ -607,7 +615,7 @@ func resolveDegenerate(interps []Interpretation) (map[CellRef]gazetteer.LocID, m
 
 // ResolveScoresOpt is ResolveScores with explicit resolver options, also
 // returning the decomposition statistics. Results are bit-identical to the
-// whole-table engine (and to the seed reference) at every worker count.
+// seed reference at every worker count.
 func ResolveScoresOpt(interps []Interpretation, g gazetteer.Geo, opt Options) (map[CellRef]gazetteer.LocID, map[CellRef]map[gazetteer.LocID]float64, Stats) {
 	if degenerate(interps) {
 		return resolveDegenerate(interps)

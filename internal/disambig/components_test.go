@@ -3,8 +3,8 @@ package disambig
 // Differential and property tests for the component-parallel resolver: the
 // decomposition must be exactly the voting graph's connected-component
 // partition (coarsened by per-cell coupling), and resolution must stay
-// BIT-identical to the retained whole-table engine — same choices, same
-// float64 scores — at every worker count, over both gazetteer forms.
+// BIT-identical to the seed reference (reference_test.go) — same choices,
+// same float64 scores — at every worker count, over both gazetteer forms.
 
 import (
 	"math/rand"
@@ -13,23 +13,32 @@ import (
 	"repro/internal/gazetteer"
 )
 
-// checkEngines resolves through the whole-table engine and the
+// checkEngines resolves through the seed reference and the
 // component-parallel engine at several worker counts and fails on any
-// divergence, bitwise. Returns the component engine's stats for callers
-// asserting decomposition shape.
+// divergence, bitwise. Inputs must be canonical (no duplicate or NoLocation
+// candidate within a cell). The reference omits cells without candidates,
+// which the engine reports as explicit NoLocation entries, so those are
+// filled in before comparing. Returns the component engine's stats for
+// callers asserting decomposition shape.
 func checkEngines(t *testing.T, interps []Interpretation, g gazetteer.Geo, workers []int) Stats {
 	t.Helper()
-	wantChoice, wantDetail := ResolveScoresSingle(interps, g)
+	wantChoice, wantDetail := refResolveScores(interps, g)
+	for _, it := range interps {
+		if _, ok := wantChoice[it.Cell]; !ok {
+			wantChoice[it.Cell] = gazetteer.NoLocation
+			wantDetail[it.Cell] = map[gazetteer.LocID]float64{}
+		}
+	}
 	var st Stats
 	for _, w := range workers {
 		choice, detail, s := ResolveScoresOpt(interps, g, Options{Workers: w})
 		st = s
 		if len(choice) != len(wantChoice) {
-			t.Fatalf("workers=%d: %d choices, whole-table engine has %d", w, len(choice), len(wantChoice))
+			t.Fatalf("workers=%d: %d choices, reference has %d", w, len(choice), len(wantChoice))
 		}
 		for cell, loc := range wantChoice {
 			if got := choice[cell]; got != loc {
-				t.Fatalf("workers=%d cell %v: chose %v, whole-table engine chose %v", w, cell, got, loc)
+				t.Fatalf("workers=%d cell %v: chose %v, reference chose %v", w, cell, got, loc)
 			}
 		}
 		for cell, m := range wantDetail {
@@ -39,7 +48,7 @@ func checkEngines(t *testing.T, interps []Interpretation, g gazetteer.Geo, worke
 			}
 			for loc, s := range m {
 				if got[loc] != s {
-					t.Fatalf("workers=%d cell %v loc %v: score %v, whole-table engine %v (bitwise)", w, cell, loc, got[loc], s)
+					t.Fatalf("workers=%d cell %v loc %v: score %v, reference %v (bitwise)", w, cell, loc, got[loc], s)
 				}
 			}
 		}
@@ -49,10 +58,10 @@ func checkEngines(t *testing.T, interps []Interpretation, g gazetteer.Geo, worke
 
 var differentialWorkers = []int{1, 2, 8}
 
-// TestComponentParallelMatchesSingleGraph drives both engines over
-// randomized tables — larger than the O(n²) seed-reference suite can afford
-// — across worker counts {1, 2, 8} and both gazetteer forms.
-func TestComponentParallelMatchesSingleGraph(t *testing.T) {
+// TestComponentParallelMatchesReference drives both engines over
+// randomized tables, larger than TestSparseMatchesReferenceRandom's, across
+// worker counts {1, 2, 8} and both gazetteer forms.
+func TestComponentParallelMatchesReference(t *testing.T) {
 	for _, scale := range []int{1, 4} {
 		b := gazetteer.SyntheticScale(29, scale)
 		names := gazNames(b)
@@ -71,7 +80,7 @@ func TestComponentParallelMatchesSingleGraph(t *testing.T) {
 // holds a home city and addresses of streets inside it, geocoded with the
 // city name as context — so candidate sets only couple rows sharing a city
 // name and the graph splits into many components (one per distinct city
-// name, roughly). This is the cmd/benchgeo huge-table shape.
+// name, roughly). This is the huge-table geocode shape.
 func addressInterps(mg *gazetteer.Gazetteer, g gazetteer.Geo, rng *rand.Rand, rows, cols int) []Interpretation {
 	cities := mg.Cities()
 	var interps []Interpretation
@@ -112,6 +121,40 @@ func TestComponentParallelMultiComponent(t *testing.T) {
 		if st.PeakScratchBytes == 0 {
 			t.Fatalf("peak scratch bytes not recorded")
 		}
+	}
+}
+
+// TestComponentParallelLargeComponent drives one connected component past
+// propagationParallelThreshold, so runComp fans every iteration's vote
+// summation out over sumVotesCSR's workers (at GOMAXPROCS >= 2), and checks
+// the result bitwise against the seed reference. One column puts every cell
+// in one bucket and every cell holds two city candidates, so cities sharing
+// a state chain the table into one component; the two further random
+// candidates per cell join it through per-cell coupling.
+func TestComponentParallelLargeComponent(t *testing.T) {
+	mg := gazetteer.SyntheticScale(31, 2)
+	g := mg.Freeze()
+	cities := mg.Cities()
+	rng := rand.New(rand.NewSource(5))
+	var interps []Interpretation
+	for r := 1; r <= 700; r++ {
+		seen := map[gazetteer.LocID]bool{}
+		var cands []gazetteer.LocID
+		for len(cands) < 4 {
+			id := cities[rng.Intn(len(cities))]
+			if len(cands) >= 2 {
+				id = gazetteer.LocID(1 + rng.Intn(g.Len()))
+			}
+			if !seen[id] {
+				seen[id] = true
+				cands = append(cands, id)
+			}
+		}
+		interps = append(interps, Interpretation{Cell: CellRef{Row: r, Col: 1}, Candidates: cands})
+	}
+	st := checkEngines(t, interps, g, differentialWorkers)
+	if st.LargestComponent < propagationParallelThreshold {
+		t.Fatalf("largest component has %d nodes, want at least %d", st.LargestComponent, propagationParallelThreshold)
 	}
 }
 
@@ -212,10 +255,13 @@ func TestDegenerateFastPath(t *testing.T) {
 				t.Fatalf("case %d cell %v: detail %v, want empty non-nil map", i, cell, m)
 			}
 		}
-		// The graph-building engines agree on the degenerate shape.
-		grChoice, grDetail := ResolveScoresSingle(interps, g)
-		if len(grChoice) != len(choice) || len(grDetail) != len(detail) {
-			t.Fatalf("case %d: fast path and whole-table engine disagree on cell counts", i)
+		// The seed reference agrees on the degenerate shape: every cell it
+		// reports resolves to NoLocation (it omits candidate-free cells).
+		refChoice, _ := refResolveScores(interps, g)
+		for cell, loc := range refChoice {
+			if _, ok := choice[cell]; !ok || loc != gazetteer.NoLocation {
+				t.Fatalf("case %d cell %v: reference chose %v, fast path has it: %v", i, cell, loc, ok)
+			}
 		}
 	}
 	// And one near-miss: a single valid candidate anywhere defeats the
@@ -280,12 +326,23 @@ func FuzzComponentDecomposition(f *testing.F) {
 }
 
 // checkDecomposition asserts decompose's partition invariants against the
-// whole-table graph, and the engines' bit-identity on the same input.
+// seed reference's all-pairs graph, each component's local CSR against the
+// reference in-lists, and the engines' bit-identity on the same input.
+// Inputs are canonical, so the engine's node table and the reference's node
+// list coincide index for index.
 func checkDecomposition(t *testing.T, interps []Interpretation, g gazetteer.Geo) {
 	t.Helper()
 	d := decompose(interps, g)
-	gr := BuildGraph(interps, g)
-	n := gr.NodeCount()
+	ref := refBuildGraph(interps, g)
+	n := len(ref.nodes)
+	if len(d.ns.locs) != n {
+		t.Fatalf("%d nodes, reference has %d", len(d.ns.locs), n)
+	}
+	for i, nd := range ref.nodes {
+		if d.ns.locs[i] != nd.loc || d.ns.cells[d.ns.nodeCell[i]] != nd.cell {
+			t.Fatalf("node %d is (%v, %v), reference (%v, %v)", i, d.ns.cells[d.ns.nodeCell[i]], d.ns.locs[i], nd.cell, nd.loc)
+		}
+	}
 
 	// Every node in exactly one component; members ascending.
 	compOf := make([]int, n)
@@ -314,31 +371,31 @@ func checkDecomposition(t *testing.T, interps []Interpretation, g gazetteer.Geo)
 
 	// Component-local edges only.
 	for v := 0; v < n; v++ {
-		for _, w := range gr.in[gr.inOff[v]:gr.inOff[v+1]] {
+		for _, w := range ref.nodes[v].in {
 			if compOf[v] != compOf[w] {
 				t.Fatalf("edge %d->%d crosses components %d and %d", w, v, compOf[w], compOf[v])
 			}
 		}
 	}
 	// A cell's nodes share one component (normalisation coupling).
-	for ci, idxs := range gr.cellNodes {
+	for ci, idxs := range d.ns.cellNodes {
 		for _, gi := range idxs {
 			if compOf[gi] != compOf[idxs[0]] {
-				t.Fatalf("cell %v split across components", gr.cells[ci])
+				t.Fatalf("cell %v split across components", d.ns.cells[ci])
 			}
 		}
 	}
 
 	// Exactness: the partition must equal the one derived from the
-	// materialised edges plus per-cell coupling — decompose must not merge
+	// reference edges plus per-cell coupling — decompose must not merge
 	// components no edge or cell connects.
 	uf := newUnionFind(n)
 	for v := 0; v < n; v++ {
-		for _, w := range gr.in[gr.inOff[v]:gr.inOff[v+1]] {
-			uf.union(int32(v), w)
+		for _, w := range ref.nodes[v].in {
+			uf.union(int32(v), int32(w))
 		}
 	}
-	for _, idxs := range gr.cellNodes {
+	for _, idxs := range d.ns.cellNodes {
 		for k := 1; k < len(idxs); k++ {
 			uf.union(idxs[0], idxs[k])
 		}
@@ -356,6 +413,34 @@ func checkDecomposition(t *testing.T, interps []Interpretation, g gazetteer.Geo)
 	}
 	if len(roots) != len(d.comps) {
 		t.Fatalf("decompose found %d components, edge-derived partition has %d", len(d.comps), len(roots))
+	}
+
+	// Each component's local CSR (built, not propagated: until = 0) is the
+	// reference graph restricted to the component, every in-list in the
+	// same ascending-voter order, and its recorded edge count matches.
+	sc := new(compScratch)
+	localOf := make([]int32, n)
+	global := make([]float64, n)
+	for ci, comp := range d.comps {
+		var r compRun
+		d.runComp(comp, &r, sc, localOf, global, false, true, 0)
+		edges := 0
+		for li, gi := range comp {
+			want := ref.nodes[gi].in
+			got := sc.in[sc.inOff[li]:sc.inOff[li+1]]
+			if len(got) != len(want) {
+				t.Fatalf("component %d node %d: %d voters, reference %d", ci, gi, len(got), len(want))
+			}
+			for k, v := range want {
+				if int(comp[got[k]]) != v {
+					t.Fatalf("component %d node %d: voter %d is %d, reference %d", ci, gi, k, comp[got[k]], v)
+				}
+			}
+			edges += len(want)
+		}
+		if r.edges != edges {
+			t.Fatalf("component %d: %d edges recorded, reference %d", ci, r.edges, edges)
+		}
 	}
 
 	checkEngines(t, interps, g, []int{1, 3})

@@ -11,15 +11,15 @@
 // direct container. The three ways two locations can cohere — equal direct
 // containers, or one being the direct container of the other — are then
 // answered by hash lookups, so construction costs O(nodes + edges) instead
-// of O(nodes²). Adjacency is stored as CSR arrays and score propagation
-// parallelises over nodes for large tables. Results are bit-identical to the
-// reference: the same choices and the same float64 scores (differential and
-// fuzz enforced).
+// of O(nodes²). The graph is resolved one connected component at a time
+// (components.go): each component's adjacency is stored as CSR arrays, and
+// components — and the nodes of a large one — propagate in parallel. Results
+// are bit-identical to the reference: the same choices and the same float64
+// scores (differential and fuzz enforced).
 package disambig
 
 import (
 	"math"
-	"runtime"
 	"sync"
 
 	"repro/internal/gazetteer"
@@ -40,25 +40,6 @@ type CellRef struct {
 type Interpretation struct {
 	Cell       CellRef
 	Candidates []gazetteer.LocID
-}
-
-// Graph is the voting graph of Figure 7b in columnar form: one entry per
-// (cell, candidate) node, cells deduplicated in first-appearance order, and
-// the in-edge lists concatenated CSR-style with every list sorted by voter
-// index — the exact summation order of the reference implementation, which
-// keeps the propagated float64 scores bit-identical.
-type Graph struct {
-	g  gazetteer.Geo
-	ns *nodeSet // the node table the fields below alias
-
-	cells     []CellRef // deduplicated cells, first-appearance order
-	cellNodes [][]int32 // node indexes per cell, ascending
-	nodeCell  []int32   // node -> index into cells
-	locs      []gazetteer.LocID
-	parents   []gazetteer.LocID // locs' direct containers, precomputed
-
-	inOff []int32 // CSR: node i's voters are in[inOff[i]:inOff[i+1]]
-	in    []int32
 }
 
 // radixSortByKey stable-sorts the parallel (keys, nodes) record arrays by
@@ -91,7 +72,8 @@ func radixSortByKey(keys []int64, nodes []int32, tmpK []int64, tmpN []int32, max
 }
 
 // nodeSet is the deduplicated node table of one resolution — every array
-// BuildGraph and the component decomposition share before any edge exists:
+// the component decomposition and the per-component graph builds share
+// before any edge exists:
 // the (cell, candidate) nodes in input order, their precomputed direct
 // containers, and the dense row/column bucket ids the join-group walks key
 // on.
@@ -241,111 +223,6 @@ func (ns *nodeSet) walkGroups(dim int, nodes []int32, b *walkBufs, visit func(lo
 	}
 }
 
-// BuildGraph constructs the voting graph. A directed edge v -> w exists iff
-// v and w belong to cells in the same row or the same column (but not the
-// same cell) and their locations share a geographic container in the paper's
-// sense: equal direct containers, or one location being the direct container
-// of the other (the street "Pennsylvania Ave, Washington" votes for the city
-// "Washington, D.C." in the same row, and vice versa).
-//
-// The relation is symmetric and its three clauses are mutually exclusive
-// (a location is never its own container and containment is acyclic), so
-// every edge is discovered exactly once via the join-group walk. This is the
-// whole-table construction; the component-parallel resolver (components.go)
-// builds the same graph one connected component at a time instead.
-func BuildGraph(interps []Interpretation, g gazetteer.Geo) *Graph {
-	ns := buildNodes(interps, g)
-	gr := &Graph{
-		g:         g,
-		ns:        ns,
-		cells:     ns.cells,
-		cellNodes: ns.cellNodes,
-		nodeCell:  ns.nodeCell,
-		locs:      ns.locs,
-		parents:   ns.parents,
-	}
-
-	// Discover edges per dimension (rows, then columns) by join groups:
-	// within one group, par×par pairs share their direct container and
-	// loc×par pairs are container-of pairs, both voting in each direction.
-	// The clauses are mutually exclusive and a pair shares at most one
-	// bucket, so each directed edge is emitted exactly once.
-	n := len(gr.locs)
-	var voters, targets []int32
-	emit := func(v, t int32) {
-		voters = append(voters, v)
-		targets = append(targets, t)
-	}
-	var b walkBufs
-	for dim := 0; dim < 2; dim++ {
-		ns.walkGroups(dim, nil, &b, func(locs, pars []int32, sharedPar bool) {
-			if sharedPar {
-				// Equal direct containers (the paper's base clause).
-				for _, i := range pars {
-					for _, j := range pars {
-						if gr.nodeCell[i] != gr.nodeCell[j] {
-							emit(i, j)
-						}
-					}
-				}
-			}
-			// One location is the other's direct container: the street
-			// votes for its containing city and vice versa.
-			for _, a := range locs {
-				for _, c := range pars {
-					if gr.nodeCell[a] != gr.nodeCell[c] {
-						emit(a, c)
-						emit(c, a)
-					}
-				}
-			}
-		})
-	}
-
-	// Canonicalise into CSR with every in-list sorted by voter index — the
-	// reference implementation's float summation order — via a two-pass
-	// stable counting sort: by voter, then by target.
-	ne := len(voters)
-	byVoterV := make([]int32, ne)
-	byVoterT := make([]int32, ne)
-	pos := make([]int32, n+1)
-	for _, v := range voters {
-		pos[v+1]++
-	}
-	for i := 0; i < n; i++ {
-		pos[i+1] += pos[i]
-	}
-	for m := 0; m < ne; m++ {
-		v := voters[m]
-		byVoterV[pos[v]] = v
-		byVoterT[pos[v]] = targets[m]
-		pos[v]++
-	}
-	gr.inOff = make([]int32, n+1)
-	for _, t := range byVoterT {
-		gr.inOff[t+1]++
-	}
-	for i := 0; i < n; i++ {
-		gr.inOff[i+1] += gr.inOff[i]
-	}
-	gr.in = make([]int32, ne)
-	fill := make([]int32, n)
-	copy(fill, gr.inOff[:n])
-	for m := 0; m < ne; m++ {
-		t := byVoterT[m]
-		gr.in[fill[t]] = byVoterV[m]
-		fill[t]++
-	}
-	return gr
-}
-
-// EdgeCount returns the number of directed edges; exposed for tests and
-// benchmarks.
-func (gr *Graph) EdgeCount() int { return len(gr.in) }
-
-// NodeCount returns the number of nodes.
-func (gr *Graph) NodeCount() int { return len(gr.locs) }
-
 // Resolve runs the iterative vote propagation and picks, for every cell, the
 // candidate whose node accumulated the largest score. Scores start at
 // 1/|L_ij| (an unambiguous cell casts a full-weight vote). Each iteration
@@ -369,20 +246,6 @@ func Resolve(interps []Interpretation, g gazetteer.Geo) map[CellRef]gazetteer.Lo
 func ResolveScores(interps []Interpretation, g gazetteer.Geo) (map[CellRef]gazetteer.LocID, map[CellRef]map[gazetteer.LocID]float64) {
 	choice, detail, _ := ResolveScoresOpt(interps, g, Options{})
 	return choice, detail
-}
-
-// ResolveScoresSingle resolves over one whole-table graph — the retained
-// pre-decomposition engine, bit-identical to ResolveScores by construction.
-// It stays callable (not just a test artifact) so the differential suite and
-// cmd/benchgeo can compare the component-parallel path against it at full
-// speed on tables far beyond what the O(n²) seed reference can check.
-func ResolveScoresSingle(interps []Interpretation, g gazetteer.Geo) (map[CellRef]gazetteer.LocID, map[CellRef]map[gazetteer.LocID]float64) {
-	if degenerate(interps) {
-		choice, detail, _ := resolveDegenerate(interps)
-		return choice, detail
-	}
-	gr := BuildGraph(interps, g)
-	return gr.ns.choose(gr.propagate())
 }
 
 // choose picks every cell's winner from the final per-node scores: the
@@ -424,80 +287,19 @@ const propagationParallelThreshold = 2048
 
 // maxIter and eps are the fixed-point iteration's stopping rule: the loop
 // ends after the first iteration whose largest per-node score change drops
-// below eps, or after maxIter iterations. Shared by the whole-table loop
-// below and the component-parallel resolver, which reproduces the SAME
-// global stopping decision across independently-propagated components (see
-// components.go).
+// below eps across the whole table, or after maxIter iterations — the seed
+// reference's rule (reference_test.go), which the component-parallel
+// resolver reproduces exactly across independently-propagated components
+// (see components.go).
 const (
 	maxIter = 100
 	eps     = 1e-9
 )
 
-// propagate runs the fixed-point iteration and returns the final scores.
-func (gr *Graph) propagate() []float64 {
-	n := len(gr.locs)
-	scores := make([]float64, n)
-	for _, idxs := range gr.cellNodes {
-		if len(idxs) == 0 {
-			continue
-		}
-		init := 1.0 / float64(len(idxs))
-		for _, i := range idxs {
-			scores[i] = init
-		}
-	}
-
-	workers := 1
-	if n >= propagationParallelThreshold {
-		workers = min(runtime.GOMAXPROCS(0), 8)
-	}
-
-	next := make([]float64, n)
-	for iter := 0; iter < maxIter; iter++ {
-		gr.sumVotes(scores, next, workers)
-		// Per-cell normalisation; a cell whose candidates all scored 0
-		// reverts to its uniform prior.
-		for _, idxs := range gr.cellNodes {
-			if len(idxs) == 0 {
-				continue
-			}
-			var total float64
-			for _, i := range idxs {
-				total += next[i]
-			}
-			if total == 0 {
-				u := 1.0 / float64(len(idxs))
-				for _, i := range idxs {
-					next[i] = u
-				}
-				continue
-			}
-			for _, i := range idxs {
-				next[i] /= total
-			}
-		}
-		var delta float64
-		for i := range scores {
-			delta = math.Max(delta, math.Abs(next[i]-scores[i]))
-		}
-		copy(scores, next)
-		if delta < eps {
-			break
-		}
-	}
-	return scores
-}
-
-// sumVotes computes next[i] = Σ scores[voters of i] for every node, fanning
-// the node range out over workers when the graph is large. Every in-list is
-// summed in ascending voter order regardless of the worker count, so the
-// result is bitwise deterministic.
-func (gr *Graph) sumVotes(scores, next []float64, workers int) {
-	sumVotesCSR(gr.inOff, gr.in, scores, next, workers)
-}
-
-// sumVotesCSR is sumVotes over bare CSR arrays, shared with the
-// component-parallel resolver's per-component propagation.
+// sumVotesCSR computes next[i] = Σ scores[voters of i] for every node of a
+// CSR graph, fanning the node range out over workers when asked. Every
+// in-list is summed in ascending voter order regardless of the worker count,
+// so the result is bitwise deterministic.
 func sumVotesCSR(inOff, in []int32, scores, next []float64, workers int) {
 	n := len(inOff) - 1
 	sumRange := func(lo, hi int) {

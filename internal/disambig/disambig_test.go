@@ -103,13 +103,19 @@ func TestFigure7Resolution(t *testing.T) {
 	}
 }
 
+// graphStats resolves the interps and returns the voting graph's shape.
+func graphStats(interps []Interpretation, g gazetteer.Geo) Stats {
+	_, _, st := ResolveScoresOpt(interps, g, Options{})
+	return st
+}
+
 func TestGraphStructure(t *testing.T) {
 	g, interps, _ := figure7(t)
-	gr := BuildGraph(interps, g)
-	if gr.NodeCount() != 15 {
-		t.Errorf("node count = %d, want 15 (sum of candidate set sizes)", gr.NodeCount())
+	st := graphStats(interps, g)
+	if st.Nodes != 15 {
+		t.Errorf("node count = %d, want 15 (sum of candidate set sizes)", st.Nodes)
 	}
-	if gr.EdgeCount() == 0 {
+	if st.Edges == 0 {
 		t.Error("graph has no edges; voting cannot happen")
 	}
 }
@@ -173,9 +179,8 @@ func TestNoCrossCellEdgesWithinSameCell(t *testing.T) {
 	// Candidates of the same cell never vote for each other even though
 	// some may share a container.
 	interps := []Interpretation{{Cell: CellRef{1, 1}, Candidates: streets}}
-	gr := BuildGraph(interps, g)
-	if gr.EdgeCount() != 0 {
-		t.Errorf("edges within a single cell: %d, want 0", gr.EdgeCount())
+	if e := graphStats(interps, g).Edges; e != 0 {
+		t.Errorf("edges within a single cell: %d, want 0", e)
 	}
 }
 
@@ -187,9 +192,8 @@ func TestDiagonalCellsDoNotVote(t *testing.T) {
 		{Cell: CellRef{1, 1}, Candidates: a},
 		{Cell: CellRef{2, 2}, Candidates: b}, // different row AND column
 	}
-	gr := BuildGraph(interps, g)
-	if gr.EdgeCount() != 0 {
-		t.Errorf("diagonal cells should not vote: %d edges", gr.EdgeCount())
+	if e := graphStats(interps, g).Edges; e != 0 {
+		t.Errorf("diagonal cells should not vote: %d edges", e)
 	}
 }
 

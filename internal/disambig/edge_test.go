@@ -152,7 +152,7 @@ func TestDuplicateCandidatesDeduplicated(t *testing.T) {
 		{Cell: CellRef{1, 1}, Candidates: dup},
 		{Cell: CellRef{1, 2}, Candidates: balt},
 	}
-	if got, want := BuildGraph(dirty, g).NodeCount(), BuildGraph(clean, g).NodeCount(); got != want {
+	if got, want := graphStats(dirty, g).Nodes, graphStats(clean, g).Nodes; got != want {
 		t.Fatalf("duplicated candidates created %d nodes, want %d", got, want)
 	}
 	wantChoice, wantDetail := ResolveScores(clean, g)
@@ -165,7 +165,7 @@ func TestDuplicateCandidatesDeduplicated(t *testing.T) {
 	}
 	// NoLocation candidates are invalid input and are ignored.
 	noisy := []Interpretation{{Cell: CellRef{1, 1}, Candidates: append([]gazetteer.LocID{gazetteer.NoLocation}, parises...)}}
-	if got, want := BuildGraph(noisy, g).NodeCount(), len(parises); got != want {
+	if got, want := graphStats(noisy, g).Nodes, len(parises); got != want {
 		t.Errorf("NoLocation candidate created a node: %d nodes, want %d", got, want)
 	}
 }

@@ -3,7 +3,8 @@ package disambig
 // The seed implementation of the voting graph, kept verbatim as an
 // executable specification: all-pairs O(n²) edge construction and the
 // map-based score propagation. The production implementation in disambig.go
-// (bucketed sparse edges, CSR adjacency, parallel propagation) must stay
+// and components.go (component decomposition, bucketed sparse edges, CSR
+// adjacency, parallel propagation) must stay
 // BIT-identical to it — same choices AND the same float64 scores, enforced
 // by the differential and fuzz tests below. The only sanctioned divergences
 // are the documented input-hygiene extensions of the rewrite: duplicate
@@ -155,52 +156,20 @@ func refResolveScores(interps []Interpretation, g gazetteer.Geo) (map[CellRef]ga
 // Differential harness
 // ---------------------------------------------------------------------------
 
-// checkEquivalence resolves the interps through both implementations and
-// fails on any divergence: edge/node counts, choices, and bitwise scores.
+// checkEquivalence resolves the interps through both implementations with
+// the default options and fails on any divergence: node/edge counts (the
+// engine's summed per-component counts), choices, and bitwise scores.
 // Inputs must be canonical (no duplicate candidates within a cell); empty
-// candidate sets are allowed — the production NoLocation entries are peeled
-// off before comparing against the reference's omissions.
+// candidate sets are allowed (see checkEngines).
 func checkEquivalence(t *testing.T, interps []Interpretation, g gazetteer.Geo) {
 	t.Helper()
+	st := checkEngines(t, interps, g, []int{0})
 	ref := refBuildGraph(interps, g)
-	gr := BuildGraph(interps, g)
-	if ref.edgeCount() != gr.EdgeCount() {
-		t.Fatalf("edge count: reference %d, sparse %d", ref.edgeCount(), gr.EdgeCount())
+	if ref.edgeCount() != st.Edges {
+		t.Fatalf("edge count: reference %d, sparse %d", ref.edgeCount(), st.Edges)
 	}
-	if len(ref.nodes) != gr.NodeCount() {
-		t.Fatalf("node count: reference %d, sparse %d", len(ref.nodes), gr.NodeCount())
-	}
-
-	refChoice, refDetail := refResolveScores(interps, g)
-	choice, detail := ResolveScores(interps, g)
-	for cell, loc := range choice {
-		if loc == gazetteer.NoLocation {
-			if _, ok := refChoice[cell]; ok {
-				t.Fatalf("cell %v: NoLocation for a cell the reference resolves", cell)
-			}
-			continue
-		}
-		if refChoice[cell] != loc {
-			t.Fatalf("cell %v: reference chose %v, sparse chose %v", cell, refChoice[cell], loc)
-		}
-	}
-	for cell := range refChoice {
-		if _, ok := choice[cell]; !ok {
-			t.Fatalf("cell %v resolved by the reference but missing from the sparse result", cell)
-		}
-	}
-	for cell, m := range refDetail {
-		got := detail[cell]
-		if len(got) != len(m) {
-			t.Fatalf("cell %v: score map sizes differ (%d vs %d)", cell, len(got), len(m))
-		}
-		for loc, s := range m {
-			// Bitwise equality: the sparse propagation must perform the
-			// same float64 additions in the same order.
-			if got[loc] != s {
-				t.Fatalf("cell %v loc %v: reference score %v, sparse score %v", cell, loc, got[loc], s)
-			}
-		}
+	if len(ref.nodes) != st.Nodes {
+		t.Fatalf("node count: reference %d, sparse %d", len(ref.nodes), st.Nodes)
 	}
 }
 
@@ -328,19 +297,11 @@ func benchWorkload() ([]Interpretation, gazetteer.Geo) {
 	return randomInterps(f, rng, 30, 4, 8, gazNames(f)), f
 }
 
-func BenchmarkBuildGraphSparse(b *testing.B) {
+func BenchmarkResolveReference(b *testing.B) {
 	interps, g := benchWorkload()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildGraph(interps, g)
-	}
-}
-
-func BenchmarkBuildGraphReference(b *testing.B) {
-	interps, g := benchWorkload()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		refBuildGraph(interps, g)
+		refResolveScores(interps, g)
 	}
 }
 

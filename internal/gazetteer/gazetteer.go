@@ -114,9 +114,6 @@ func New() *Builder {
 	}
 }
 
-// NewBuilder is New under the post-split name.
-func NewBuilder() *Builder { return New() }
-
 // Add inserts a location under the given parent and returns its id. Countries
 // take parent = NoLocation. Add panics if the parent/kind combination
 // violates the hierarchy, since that is a programming error in dataset

@@ -171,20 +171,8 @@ func (kb *KB) Root(t world.Type) (CatID, bool) {
 	return id, ok
 }
 
-// CategoryByName looks a category up by exact name.
-func (kb *KB) CategoryByName(name string) (CatID, bool) {
-	id, ok := kb.byName[name]
-	return id, ok
-}
-
 // CategoryName returns the display name of a category.
 func (kb *KB) CategoryName(c CatID) string { return kb.cats[c].name }
-
-// Subcategories returns the direct children of a category, playing the role
-// of one SPARQL containment query.
-func (kb *KB) Subcategories(c CatID) []CatID {
-	return append([]CatID(nil), kb.cats[c].children...)
-}
 
 // Descendants returns the category and every transitive subcategory in BFS
 // order — the paper's "visit the category network ... by iterating a SPARQL
@@ -297,9 +285,3 @@ func (kb *KB) Catalogue() map[string]string {
 	}
 	return out
 }
-
-// EntityCount returns the number of entities in the knowledge base.
-func (kb *KB) EntityCount() int { return len(kb.entities) }
-
-// CategoryCount returns the number of categories.
-func (kb *KB) CategoryCount() int { return len(kb.cats) - 1 }

@@ -1,11 +1,12 @@
-// Package load is the cluster load driver shared by cmd/loadgen and
-// cmd/benchcluster: it builds annotate/geocode workloads from the seeded
-// synthetic universe and drives them at one or more serving targets, either
-// closed-loop (a fixed pool of clients, each firing its next request as soon
-// as the last returns) or open-loop (Poisson arrivals at a fixed offered
-// rate, independent of how fast the server answers — the arrival process
-// does not slow down when the server saturates, which is what makes
-// saturation visible instead of silently throttling the measurement).
+// Package load is the cluster load driver behind cmd/loadgen (perfbench's
+// serve-zipf workload reuses its Body): it builds annotate/geocode workloads
+// from the seeded synthetic universe and drives them at one or more serving
+// targets, either closed-loop (a fixed pool of clients, each firing its next
+// request as soon as the last returns) or open-loop (Poisson arrivals at a
+// fixed offered rate, independent of how fast the server answers — the
+// arrival process does not slow down when the server saturates, which is
+// what makes saturation visible instead of silently throttling the
+// measurement).
 package load
 
 import (

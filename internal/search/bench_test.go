@@ -2,8 +2,8 @@ package search
 
 // Micro-benchmarks for the query core, run over a synthetic corpus large
 // enough that accumulator, heap and positional-intersection costs dominate.
-// cmd/benchsearch measures the same operations over the full canonical
-// corpus and records the trajectory in BENCH_search.json.
+// The system's end-to-end benchmark (BENCHMARK.json, perfbench/) measures
+// search inside whole annotate passes over the canonical corpus.
 
 import (
 	"fmt"

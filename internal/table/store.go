@@ -66,11 +66,6 @@ func (s *Store) Get(name string) (*Table, bool) {
 	return s.tables[id], true
 }
 
-// All returns every stored table in insertion order.
-func (s *Store) All() []*Table {
-	return append([]*Table(nil), s.tables...)
-}
-
 // Search returns the tables matching every keyword (AND semantics, stemmed),
 // in insertion order — the index-backed retrieval the paper uses to find
 // candidate tables per POI type.
